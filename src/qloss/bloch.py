@@ -129,7 +129,14 @@ def _normal_form_steps(
         deviation = max(
             float(np.abs(rho_a - eye_a).max()), float(np.abs(rho_b - eye_b).max()))
         if deviation <= tol:
-            return DensityMatrix.create(mat, (n, m)), iteration
+            try:
+                return DensityMatrix.create(mat, (n, m)), iteration
+            except NotPSDError as exc:
+                # the marginals converged but the state drifted off the PSD
+                # cone on the way: the same breakdown as a non-PSD marginal
+                raise NoConvergenceError(
+                    f"normal-form filtering left the PSD cone after {iteration} "
+                    f"iterations ({exc})", iterations=iteration) from exc
         try:
             filt = np.kron(numerics.inv_sqrt_psd(n * rho_a, rank_tol),
                            numerics.inv_sqrt_psd(m * rho_b, rank_tol))

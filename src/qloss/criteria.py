@@ -112,7 +112,7 @@ def ppt_negativity(rho: DensityMatrix) -> tuple[CriterionResult, MeasureValue]:
     pt = partial_transpose(rho, 0)
     w, _ = numerics.eigh(pt)
     neg_sum = float(-w[w < 0].sum())
-    from_norm = (numerics.trace_norm(pt) - 1.0) / 2.0
+    from_norm = (float(np.abs(w).sum()) - 1.0) / 2.0
     if abs(neg_sum - from_norm) > 1e-10:
         raise QlossError(
             f"negativity cross-check failed: {neg_sum!r} vs {from_norm!r}")

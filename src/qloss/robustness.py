@@ -20,9 +20,7 @@ separability in general dimensions.
 
 from __future__ import annotations
 
-import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -31,13 +29,14 @@ import numpy as np
 from . import numerics
 from .bloch import NF_MAX_ITER, NF_TOL, _normal_form_steps, bloch_decompose, correlation_svd
 from .criteria import (
+    DEADBAND,
     CriterionResult,
     MeasureValue,
     RoofBudget,
     Verdict,
     build_example1_state,
+    concurrence_mixed,
     concurrence_pure,
-    concurrence_roof,
     example1_region,
     kf_criterion,
     length_bound_criterion,
@@ -130,14 +129,12 @@ def classify_residual(
     timings["normal_form"] = (time.perf_counter() - tick) * 1e3
 
     tick = time.perf_counter()
-    n, m = reduced.dims
-    if (n, m) == (2, 2):
-        measures.append(MeasureValue("concurrence", wootters_concurrence(reduced), "exact",
-                                     notes="spin-flip eigenvalue formula"))
-    elif _is_pure(reduced, rank_tol):
-        measures.append(_pure_concurrence_measure(reduced))
-    elif roof_budget is not None:
-        measures.append(concurrence_roof(reduced, roof_budget))
+    two_qubit = reduced.dims == (2, 2)
+    pure = None if two_qubit else _pure_residual_concurrence(reduced, rank_tol)
+    if pure is not None:
+        measures.append(pure)
+    elif two_qubit or roof_budget is not None:
+        measures.append(concurrence_mixed(reduced, roof_budget))
     timings["measures"] = (time.perf_counter() - tick) * 1e3
     timings["total"] = (time.perf_counter() - start) * 1e3
 
@@ -157,22 +154,19 @@ def classify_residual(
             "rank_tol": rank_tol,
             "nf_tol": nf_tol,
             "nf_max_iter": nf_max_iter,
-            "detection_deadband": 1e-10,
+            "detection_deadband": DEADBAND,
             "support_reduced": record.reduced,
         },
         timings_ms=timings,
     )
 
 
-def _is_pure(rho: DensityMatrix, rank_tol: float) -> bool:
-    w = np.linalg.eigvalsh(rho.matrix)
-    return int((w > rank_tol * float(w.max())).sum()) == 1
-
-
-def _pure_concurrence_measure(rho: DensityMatrix) -> MeasureValue:
+def _pure_residual_concurrence(rho: DensityMatrix, rank_tol: float) -> MeasureValue | None:
+    """Exact concurrence of a rank-1 residual from its top eigenvector; None if mixed."""
     w, v = numerics.eigh(rho.matrix)
-    vec = StateVector.create(v[:, -1], rho.dims)
-    value = concurrence_pure(vec).value
+    if int((w > rank_tol * float(w.max())).sum()) != 1:
+        return None
+    value = concurrence_pure(StateVector.create(v[:, -1], rho.dims)).value
     return MeasureValue("concurrence", value, "exact", notes="pure residual")
 
 
@@ -311,25 +305,6 @@ class SweepPoint:
     error: str | None = None
 
 
-def _threads(explicit: int | None = None) -> int:
-    if explicit is not None and explicit > 0:
-        return explicit
-    raw = os.environ.get("QLOSS_THREADS", "0")
-    try:
-        value = int(raw)
-    except ValueError:
-        value = 0
-    return (os.cpu_count() or 1) if value <= 0 else value
-
-
-def _map_indexed(fn, count: int, threads: int | None):
-    workers = min(_threads(threads), max(count, 1))
-    if workers <= 1 or count <= 1:
-        return [fn(i) for i in range(count)]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, range(count)))
-
-
 def point_seed(seed: int, index: int) -> np.random.SeedSequence:
     """Deterministic per-point sub-seed; independent of evaluation order."""
     # SeedSequence wants non-negative entropy, so negative seeds are masked
@@ -380,17 +355,15 @@ def sweep(
     *,
     fixed: dict | None = None,
     seed: int = 0,
-    threads: int | None = None,
     **classify_kw,
 ) -> list[SweepPoint]:
     """Evaluate a state family over a cartesian parameter grid.
 
     ``grid`` maps parameter names to value sequences; ``fixed`` holds
-    scalar parameters shared by every point. Points are evaluated
-    independently (optionally in threads, capped by QLOSS_THREADS) and each
-    derives its own sub-seed from (seed, point index), so results do not
-    depend on scheduling. Per-point failures are recorded inline and the
-    sweep continues.
+    scalar parameters shared by every point. Points are evaluated in order,
+    and each derives its own sub-seed from (seed, point index), so a point's
+    result depends only on its parameters and index. Per-point failures are
+    recorded inline and the sweep continues.
     """
     if family not in SWEEP_FAMILIES:
         raise InvalidParamsError(
@@ -400,31 +373,25 @@ def sweep(
         return []
     names = list(grid.keys())
     axes = [list(grid[name]) for name in names]
-    points: list[dict] = []
     counts = [len(axis) for axis in axes]
     if any(c == 0 for c in counts):
         return []
-    total = int(np.prod(counts))
-    for flat in range(total):
-        residue = flat
+    results: list[SweepPoint] = []
+    for index in range(int(np.prod(counts))):
+        residue = index
         chosen = {}
         for name, axis in zip(reversed(names), reversed(axes)):
             chosen[name] = axis[residue % len(axis)]
             residue //= len(axis)
         params = dict(fixed or {})
         params.update({name: chosen[name] for name in names})
-        points.append(params)
-
-    def run(index: int) -> SweepPoint:
-        params = dict(points[index])
         try:
             report = builder(params, seed=seed, **classify_kw)
             report.provenance["sub_seed"] = [int(seed), index]
-            return SweepPoint(params=params, report=report)
+            results.append(SweepPoint(params=params, report=report))
         except QlossError as exc:
-            return SweepPoint(params=params, error=f"{type(exc).__name__}: {exc}")
-
-    return _map_indexed(run, total, threads)
+            results.append(SweepPoint(params=params, error=f"{type(exc).__name__}: {exc}"))
+    return results
 
 
 def random_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
@@ -447,20 +414,18 @@ def random_two_qubit_mixed(rng: np.random.Generator) -> DensityMatrix:
     return DensityMatrix(dims=(2, 2), matrix=rho.matrix)
 
 
-def fig1_scatter(samples: int, seed: int = 0, threads: int | None = None) -> list[tuple[float, float]]:
+def fig1_scatter(samples: int, seed: int = 0) -> list[tuple[float, float]]:
     """(concurrence, negativity) pairs for seeded random two-qubit mixed states.
 
     Every point satisfies negativity <= concurrence. Sample i uses the
-    sub-seed (seed, i), so the scatter is reproducible regardless of
-    threading.
+    sub-seed (seed, i), so sample i is the same in every scatter of at
+    least i + 1 samples with this seed.
     """
     if samples < 1:
         raise InvalidParamsError(f"samples must be >= 1, got {samples}")
-
-    def sample(index: int) -> tuple[float, float]:
-        rng = np.random.default_rng(point_seed(seed, index))
-        rho = random_two_qubit_mixed(rng)
+    pairs: list[tuple[float, float]] = []
+    for index in range(samples):
+        rho = random_two_qubit_mixed(np.random.default_rng(point_seed(seed, index)))
         _, measure = ppt_negativity(rho)
-        return wootters_concurrence(rho), measure.value
-
-    return _map_indexed(sample, samples, threads)
+        pairs.append((wootters_concurrence(rho), measure.value))
+    return pairs

@@ -186,6 +186,21 @@ def test_negativity_matches_trace_norm_and_oracle():
                 negativity_oracle(rho.matrix, *dims), abs=1e-10)
 
 
+def test_ppt_negativity_diagonalises_once(monkeypatch):
+    import qloss.numerics
+    calls = []
+    eigh = qloss.numerics.eigh
+
+    def counting_eigh(*args, **kwargs):
+        calls.append(1)
+        return eigh(*args, **kwargs)
+
+    monkeypatch.setattr(qloss.numerics, "eigh", counting_eigh)
+    _, measure = ppt_negativity(_residual(w()))
+    assert measure.value == pytest.approx((np.sqrt(5) - 1) / 6, abs=1e-12)
+    assert len(calls) == 1
+
+
 def test_negativity_vanishes_on_separable_mixtures():
     rng = np.random.default_rng(3)
     for _ in range(50):

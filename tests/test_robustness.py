@@ -117,6 +117,26 @@ def test_classification_is_lu_invariant():
             assert classify_qubit_loss(rotated).classification is base
 
 
+def test_filtering_off_the_psd_cone_falls_back_to_ppt():
+    # the normal form of this 2x3x5 residual meets its marginal tolerance
+    # with a state that is no longer PSD; that is a filtering breakdown
+    rng = np.random.default_rng(11)
+    for _ in range(3):
+        amps = rng.normal(size=30) + 1j * rng.normal(size=30)
+    report = classify_qubit_loss(StateVector.create(amps, (2, 3, 5)))
+    assert report.classification is Classification.ROBUST
+    assert report.normal_form_status == "diverged"
+    assert _criterion(report, "ppt").verdict is Verdict.DETECTED
+
+
+def test_pure_residual_concurrence_is_exact():
+    report = classify_qubit_loss(parse_ket("|000> + |011> + |022>", (2, 3, 3)))
+    concurrence = _measure(report, "concurrence")
+    assert concurrence.value == pytest.approx(2 / np.sqrt(3), abs=1e-12)
+    assert concurrence.kind == "exact"
+    assert concurrence.notes == "pure residual"
+
+
 def test_swapped_dims_give_same_classification():
     rng = np.random.default_rng(2)
     amps = random_pure(rng, 2 * 4 * 3)
@@ -282,13 +302,16 @@ def test_sweep_example3():
     assert points[1].report.provenance["sub_seed"] == [0, 1]
 
 
-def test_sweep_is_deterministic_and_thread_safe():
-    grid = {"p": [0.1, 0.2, 0.5, 0.9]}
-    a = sweep("observation1", grid, fixed={"n": 2}, threads=1)
-    b = sweep("observation1", grid, fixed={"n": 2}, threads=4)
-    for pa, pb in zip(a, b):
-        assert pa.params == pb.params
-        assert pa.report.classification is pb.report.classification
+def test_sweep_point_depends_only_on_its_value_and_index():
+    values = [0.1, 0.2, 0.5, 0.9]
+    points = sweep("observation1", {"p": values}, fixed={"n": 2}, seed=4)
+    for index, (value, point) in enumerate(zip(values, points)):
+        alone = sweep("observation1", {"p": [value]}, fixed={"n": 2}, seed=4)[0]
+        assert point.params == alone.params
+        assert point.report.classification is alone.report.classification
+        assert (_measure(point.report, "negativity").value
+                == _measure(alone.report, "negativity").value)
+        assert point.report.provenance["sub_seed"] == [4, index]
 
 
 # --- scatter ---------------------------------------------------------------------
@@ -305,10 +328,8 @@ def test_fig1_scatter_property_and_determinism():
     assert pairs != different
 
 
-def test_fig1_scatter_threading_matches_serial():
-    serial = fig1_scatter(32, seed=3, threads=1)
-    threaded = fig1_scatter(32, seed=3, threads=4)
-    assert serial == threaded
+def test_fig1_scatter_is_prefix_stable():
+    assert fig1_scatter(32, seed=3)[:16] == fig1_scatter(16, seed=3)
 
 
 def test_fig1_scatter_validates_samples():
@@ -324,19 +345,6 @@ def test_fig1_closed_form_corners():
     separable = DensityMatrix.create(np.eye(4), (2, 2))
     assert wootters_concurrence(separable) == 0.0
     assert ppt_negativity(separable)[1].value == 0.0
-
-
-def test_thread_env_var_caps_parallelism(monkeypatch):
-    from qloss.robustness import _threads
-    monkeypatch.setenv("QLOSS_THREADS", "3")
-    assert _threads() == 3
-    monkeypatch.setenv("QLOSS_THREADS", "0")
-    assert _threads() >= 1
-    monkeypatch.setenv("QLOSS_THREADS", "junk")
-    assert _threads() >= 1
-    serial = fig1_scatter(16, seed=5)
-    monkeypatch.setenv("QLOSS_THREADS", "4")
-    assert fig1_scatter(16, seed=5) == serial
 
 
 def test_point_seed_is_stable():
