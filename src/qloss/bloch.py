@@ -73,7 +73,12 @@ def bloch_decompose(rho: DensityMatrix) -> BlochForm:
     tensor = rho.matrix.reshape(n, m, n, m)
     a = np.einsum("jmkm,akj->a", tensor, gl).real
     b = np.einsum("jmjn,bnm->b", tensor, gr).real
-    t = np.einsum("jmkn,akj,bnm->ab", tensor, gl, gr).real
+    # t_ab = sum gl[a,k,j] tensor[j,m,k,n] gr[b,n,m], in two steps (one
+    # three-operand einsum took seconds at 14 x 14). The first stays an
+    # einsum: its in-order sums keep t exactly zero on small I/d, where a
+    # matmul leaves ~1e-19 that correlation_svd would count as rank.
+    left = np.einsum("akj,jmkn->amn", gl, tensor).reshape(len(gl), m * m)
+    t = (left @ gr.transpose(2, 1, 0).reshape(m * m, len(gr))).real
     return BlochForm(dims=(n, m), a=a, b=b, t=t)
 
 
@@ -100,11 +105,6 @@ def marginals(rho: DensityMatrix) -> tuple[DensityMatrix, DensityMatrix]:
     return partial_trace(rho, [0]), partial_trace(rho, [1])
 
 
-def _marginal_mats(mat: np.ndarray, n: int, m: int) -> tuple[np.ndarray, np.ndarray]:
-    tensor = mat.reshape(n, m, n, m)
-    return np.einsum("jmkm->jk", tensor), np.einsum("jmjn->mn", tensor)
-
-
 def _normal_form_steps(
     rho: DensityMatrix,
     tol: float = NF_TOL,
@@ -115,8 +115,8 @@ def _normal_form_steps(
     if len(rho.dims) != 2:
         raise DimensionMismatchError(f"normal form needs bipartite dims, got {rho.dims}")
     n, m = rho.dims
-    mat = rho.matrix.copy()
-    rho_a, rho_b = _marginal_mats(mat, n, m)
+    tensor = rho.matrix.reshape(n, m, n, m)
+    rho_a, rho_b = np.einsum("jmkm->jk", tensor), np.einsum("jmjn->mn", tensor)
     for side, dim in ((rho_a, n), (rho_b, m)):
         w = np.linalg.eigvalsh((side + side.conj().T) / 2.0)
         if int((w > rank_tol * float(w.max())).sum()) < dim:
@@ -124,38 +124,49 @@ def _normal_form_steps(
                 f"marginal of dimension {dim} is rank deficient; reduce the support first")
     eye_a = np.eye(n) / n
     eye_b = np.eye(m) / m
+    deviation = max(float(np.abs(rho_a - eye_a).max()), float(np.abs(rho_b - eye_b).max()))
+    if deviation <= tol:
+        return rho, 0
+    # rho = G G^dag with G of shape (n, m, rank); the filters act on G's legs,
+    # so every iterate is PSD and no step touches an NM x NM matrix
+    w, v = numerics.eigh(rho.matrix)
+    keep = w > rank_tol * float(w.max())
+    rank = int(keep.sum())
+    g = (v[:, keep] * np.sqrt(w[keep])).reshape(n, m, rank)
     stalled = 0
     for iteration in range(max_iter):
-        deviation = max(
-            float(np.abs(rho_a - eye_a).max()), float(np.abs(rho_b - eye_b).max()))
         if deviation <= tol:
+            flat = g.reshape(n * m, rank)
             try:
-                return DensityMatrix.create(mat, (n, m)), iteration
+                return DensityMatrix.create(flat @ flat.conj().T, (n, m)), iteration
             except NotPSDError as exc:
-                # the marginals converged but the state drifted off the PSD
-                # cone on the way: the same breakdown as a non-PSD marginal
+                # G G^dag is PSD; only a numerical breakdown can get here
                 raise NoConvergenceError(
                     f"normal-form filtering left the PSD cone after {iteration} "
                     f"iterations ({exc})", iterations=iteration) from exc
+        # one side per half-step, F_B taken from the state F_A left behind
+        # (operator Sinkhorn scaling); applying both filters of one state at
+        # once falls into a 2-cycle on rank-2 N x N residuals
         try:
-            filt = np.kron(numerics.inv_sqrt_psd(n * rho_a, rank_tol),
-                           numerics.inv_sqrt_psd(m * rho_b, rank_tol))
+            g_a = numerics.inv_sqrt_psd(n * rho_a, rank_tol) @ g.reshape(n, m * rank)
+            g_b = g_a.reshape(n, m, rank).transpose(1, 0, 2).reshape(m, n * rank)
+            g_b = numerics.inv_sqrt_psd(m * (g_b @ g_b.conj().T), rank_tol) @ g_b
         except NotPSDError as exc:
             # divergent trajectories on rank-deficient states amplify noise
             # until a marginal leaves the PSD cone: a filtering breakdown
             raise NoConvergenceError(
                 f"normal-form filtering broke down numerically after {iteration} "
                 f"iterations ({exc})", iterations=iteration) from exc
-        mat = filt @ mat @ filt.conj().T
-        mat = (mat + mat.conj().T) / 2.0     # large filters amplify rounding drift
-        trace = float(mat.trace().real)
+        trace = float(np.vdot(g_b, g_b).real)
         if not np.isfinite(trace) or trace <= 1e-12:
             raise NoConvergenceError(
                 f"normal-form filtering collapsed the state after {iteration} iterations",
                 iterations=iteration)
-        mat /= trace
+        g_b = g_b / np.sqrt(trace)
+        g = g_b.reshape(m, n, rank).transpose(1, 0, 2)
+        g_a = g.reshape(n, m * rank)
         prev_a, prev_b = rho_a, rho_b
-        rho_a, rho_b = _marginal_mats(mat, n, m)
+        rho_a, rho_b = g_a @ g_a.conj().T, g_b @ g_b.conj().T
         change = max(float(np.abs(rho_a - prev_a).max()), float(np.abs(rho_b - prev_b).max()))
         # the stop criterion sees only the marginals: once they are frozen
         # above tol the iteration can never succeed, so report early
@@ -165,6 +176,8 @@ def _normal_form_steps(
                 f"normal-form filtering stalled after {iteration + 1} iterations "
                 f"(marginals frozen at deviation {deviation:.3e})",
                 iterations=iteration + 1)
+        deviation = max(
+            float(np.abs(rho_a - eye_a).max()), float(np.abs(rho_b - eye_b).max()))
     raise NoConvergenceError(
         f"normal form not reached within {max_iter} iterations", iterations=max_iter)
 
@@ -177,14 +190,29 @@ def normal_form(
 ) -> DensityMatrix:
     """Filter a full-local-rank state to maximally mixed marginals.
 
-    Repeats rho -> (F_A (x) F_B) rho (F_A (x) F_B)^dag / trace with
-    F_A = (N rho_A)^(-1/2), F_B = (M rho_B)^(-1/2) until both marginals are
-    within ``tol`` (max-entry distance) of I/d.
+    Factors rho = G G^dag once and then alternates the two sides (operator
+    Sinkhorn scaling): each step applies F_A = (N rho_A)^(-1/2) to G's first
+    leg, recomputes rho_B, and applies F_B = (M rho_B)^(-1/2) to its second
+    leg, until both marginals are within ``tol`` (max-entry distance) of
+    I/d. A state already within ``tol`` is returned as it is.
 
     Raises :class:`RankDeficientError` if a marginal is rank deficient and
-    :class:`NoConvergenceError` if the cap is hit; callers may fall back to
-    analyzing the unfiltered state (the filtering cannot create or destroy
-    entanglement, so nothing is lost except the filtered-only criteria).
+    :class:`NoConvergenceError` if the iteration stalls, breaks down or hits
+    the cap; callers may fall back to analyzing the unfiltered state (the
+    filtering cannot create or destroy entanglement, so nothing is lost
+    except the filtered-only criteria).
+
+    Filtering keeps the rank, and some shapes have no normal form of rank 2,
+    which is the rank of every pure-state residual. Stacking the two Schmidt
+    matrices of a rank-2 normal form on N x M (N <= M) into a 2N x M block S
+    gives S^dag S = I/M; the complementary projector Q of M S S^dag has rank
+    2N - M and its two diagonal N x N blocks must sum to (2 - M/N) I_N,
+    which needs 2(2N - M) >= N. So M <= 3N/2 or M >= 2N is necessary (not
+    sufficient): random 2x3x5, 2x4x7 and 2x6x10 residuals stall, while
+    2x2x3, 2x3x4, 2x4x6 and 2x6x9 converge. Special states fail too: W-type
+    residuals (an entangled pure state mixed with a product state) sit on
+    the boundary, approach I/d ever more slowly and run to the cap, and the
+    four-term 2x3x3 residual stalls at deviation 1/3.
     """
     filtered, _ = _normal_form_steps(rho, tol=tol, max_iter=max_iter, rank_tol=rank_tol)
     return filtered

@@ -117,8 +117,8 @@ def classify_residual(
     try:
         filtered, nf_iterations = _normal_form_steps(
             reduced, tol=nf_tol, max_iter=nf_max_iter, rank_tol=rank_tol)
-    except NoConvergenceError:
-        filtered, nf_status = None, "diverged"
+    except NoConvergenceError as exc:
+        filtered, nf_status, nf_iterations = None, "diverged", exc.iterations
     except RankDeficientError:
         filtered, nf_status = None, "rank_deficient"
     if filtered is not None:
@@ -163,6 +163,11 @@ def classify_residual(
 
 def _pure_residual_concurrence(rho: DensityMatrix, rank_tol: float) -> MeasureValue | None:
     """Exact concurrence of a rank-1 residual from its top eigenvector; None if mixed."""
+    # under the rank_tol rule a pure residual has 1 - Tr(rho^2) <= 2 (d - 1) rank_tol,
+    # since 1 - w1^2 <= 2 (1 - w1); the 1e-12 absorbs the trace's rounding
+    dim = rho.matrix.shape[0]
+    if 1.0 - np.vdot(rho.matrix, rho.matrix).real > 2 * (dim - 1) * rank_tol + 1e-12:
+        return None
     w, v = numerics.eigh(rho.matrix)
     if int((w > rank_tol * float(w.max())).sum()) != 1:
         return None

@@ -61,6 +61,14 @@ def test_correlation_matrix_matches_trace_oracle():
     assert np.abs(form.t.imag).max() == 0.0 if np.iscomplexobj(form.t) else True
 
 
+def test_correlation_matrix_matches_generator_traces_3x4():
+    rng = np.random.default_rng(5)
+    rho = DensityMatrix.create(random_density_oracle(rng, 12), (3, 4))
+    gl, gr = generators(3).stacked(), generators(4).stacked()
+    want = np.array([[np.trace(rho.matrix @ np.kron(g, h)).real for h in gr] for g in gl])
+    np.testing.assert_allclose(bloch_decompose(rho).t, want, atol=1e-12)
+
+
 def test_tiles_ky_fan_norm_recomputed_value():
     # frozen from an independent recomputation under this basis normalization;
     # the originally reported 3.1603 corresponds to the 1/(NM)-prefactor

@@ -14,6 +14,8 @@ from qloss import (
     example3_family,
     fig1_scatter,
     ghz,
+    marginals,
+    normal_form,
     observation1_family,
     parse_ket,
     partial_trace,
@@ -23,7 +25,11 @@ from qloss import (
     w,
     wootters_concurrence,
 )
+from qloss.bloch import NF_MAX_ITER, NF_TOL
+from qloss.cli import report_to_dict
 from qloss.errors import DegenerateFamilyError, InvalidParamsError
+from qloss.robustness import _pure_residual_concurrence
+from qloss.states import reduce_support
 
 from oracles import negativity_oracle, random_pure, random_unitary_oracle
 
@@ -127,6 +133,44 @@ def test_filtering_off_the_psd_cone_falls_back_to_ppt():
     assert report.classification is Classification.ROBUST
     assert report.normal_form_status == "diverged"
     assert _criterion(report, "ppt").verdict is Verdict.DETECTED
+
+
+@pytest.mark.parametrize("dims", [(2, 3, 5), (2, 4, 7)])
+def test_failed_filtering_keeps_its_iteration_count(dims):
+    # 3N/2 < M < 2N: no rank-2 normal form exists, so the stall detector
+    # stops the loop well before the cap
+    rng = np.random.default_rng(11)
+    size = int(np.prod(dims))
+    for _ in range(3):
+        amps = rng.normal(size=size) + 1j * rng.normal(size=size)
+    report = classify_qubit_loss(StateVector.create(amps, dims))
+    assert report.normal_form_status == "diverged"
+    assert 0 < report.nf_iterations < NF_MAX_ITER
+    assert report_to_dict(report)["normal_form"]["iterations"] == report.nf_iterations
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 12])
+def test_ky_fan_runs_on_generic_2xNxN_input(n):
+    rng = np.random.default_rng(n)
+    amps = rng.normal(size=2 * n * n) + 1j * rng.normal(size=2 * n * n)
+    state = StateVector.create(amps, (2, n, n))
+    report = classify_qubit_loss(state)
+    assert report.normal_form_status == "converged"
+    assert _criterion(report, "ky_fan").verdict is Verdict.DETECTED
+    reduced, _ = reduce_support(partial_trace(density(state), keep=(1, 2)))
+    for marginal in marginals(normal_form(reduced)):
+        assert np.abs(marginal.matrix - np.eye(n) / n).max() <= NF_TOL
+
+
+def test_pure_residual_concurrence_skips_eigh_on_mixed_residual(monkeypatch):
+    import qloss.numerics
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("numerics.eigh called on a mixed residual")
+
+    monkeypatch.setattr(qloss.numerics, "eigh", forbidden)
+    rho = observation1_family(3, np.sqrt(0.5), np.sqrt(0.5), 0.5)
+    assert _pure_residual_concurrence(rho, 1e-10) is None
 
 
 def test_pure_residual_concurrence_is_exact():
