@@ -1,7 +1,13 @@
 """Dense complex matrix kernel used by every other module.
 
-All functions operate on plain ``numpy.ndarray`` values (complex128) and are
-pure: inputs are never mutated, so everything here is thread-safe.
+All functions operate on ``numpy.ndarray`` values (complex128) and are pure:
+inputs are never mutated, so everything here is thread-safe.
+
+Stack convention: :func:`is_hermitian`, :func:`eigh` and :func:`sqrt_psd`
+take a single ``(d, d)`` matrix or a stack of shape ``(..., d, d)`` and apply
+to each matrix of the stack, with results stacked over the same leading axes.
+A stack of one runs exactly the arithmetic of the single-matrix call, so the
+results agree bit for bit. A check that fails on any member of a stack raises.
 
 Conventions, fixed once to avoid cross-module sign/order bugs:
 
@@ -32,25 +38,49 @@ def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.kron(np.asarray(a), np.asarray(b))
 
 
-def is_hermitian(m: np.ndarray, atol: float = HERMITIAN_ATOL) -> bool:
-    """True if max |m[i,j] - conj(m[j,i])| <= atol."""
+def dagger(m: np.ndarray) -> np.ndarray:
+    """Conjugate transpose of each matrix of a stack."""
+    return m.conj().swapaxes(-1, -2)
+
+
+def _is_square(m: np.ndarray) -> bool:
+    return m.ndim >= 2 and m.shape[-1] == m.shape[-2]
+
+
+def is_hermitian(m: np.ndarray, atol: float = HERMITIAN_ATOL):
+    """True if max |m[i,j] - conj(m[j,i])| <= atol; per member for a stack.
+
+    A single matrix gives a ``bool``, a stack a boolean array over its
+    leading axes. Anything that is not square in its last two axes is not
+    Hermitian.
+    """
     m = np.asarray(m)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+    if not _is_square(m):
         return False
-    return bool(np.abs(m - m.conj().T).max() <= atol)
+    ok = np.abs(m - dagger(m)).max(axis=(-2, -1)) <= atol
+    return bool(ok) if m.ndim == 2 else ok
+
+
+def check_hermitian(m: np.ndarray, atol: float = HERMITIAN_ATOL, what: str = "matrix") -> None:
+    """Raise :class:`NotHermitianError` unless ``m`` is a Hermitian matrix, or
+    a stack of them, at ``atol``; the message names the largest deviation."""
+    if not _is_square(m):
+        raise NotHermitianError(f"{what} of shape {m.shape} is not square")
+    dev = np.abs(m - dagger(m)).max()
+    if not dev <= atol:
+        raise NotHermitianError(f"{what} is not Hermitian (max deviation {dev:.3e})")
 
 
 def eigh(h: np.ndarray, atol: float = HERMITIAN_ATOL) -> tuple[np.ndarray, np.ndarray]:
-    """Eigendecomposition of a Hermitian matrix.
+    """Eigendecomposition of a Hermitian matrix or of each matrix of a stack.
 
-    Returns ``(w, V)`` with eigenvalues ``w`` ascending and ``h = V diag(w) V†``.
-    Raises :class:`NotHermitianError` if the symmetry check fails at ``atol``.
+    Returns ``(w, V)`` with eigenvalues ``w`` ascending along the last axis
+    and ``h = V diag(w) V†`` per member. Raises :class:`NotHermitianError`
+    if the symmetry check fails at ``atol`` on any member.
     """
     h = np.asarray(h, dtype=complex)
-    if not is_hermitian(h, atol):
-        dev = float(np.abs(h - h.conj().T).max())
-        raise NotHermitianError(f"matrix is not Hermitian (max deviation {dev:.3e})")
-    w, v = np.linalg.eigh((h + h.conj().T) / 2.0)
+    check_hermitian(h, atol)
+    w, v = np.linalg.eigh((h + dagger(h)) / 2.0)
     return w, v
 
 
@@ -101,19 +131,29 @@ def trace_norm(m: np.ndarray) -> float:
 ky_fan_norm = trace_norm
 
 
+def check_psd(w: np.ndarray, atol: float = PSD_ATOL, what: str = "matrix") -> None:
+    """Raise :class:`NotPSDError` if an ascending spectrum in ``w``, of a
+    matrix or of each member of a stack, starts below ``-atol``."""
+    # builtin min: on the one-matrix path a numpy reduction costs more than the check
+    lowest = min(w[..., 0].flat)
+    if lowest < -atol:
+        raise NotPSDError(f"{what} has negative eigenvalue {lowest:.3e}")
+
+
 def _psd_spectrum(h: np.ndarray, atol: float = PSD_ATOL) -> tuple[np.ndarray, np.ndarray]:
     w, v = eigh(h, atol=max(HERMITIAN_ATOL, atol))
-    if w[0] < -atol:
-        raise NotPSDError(f"matrix has negative eigenvalue {w[0]:.3e}")
+    check_psd(w, atol)
     return w, v
 
 
 def sqrt_psd(h: np.ndarray, rank_tol: float = RANK_TOL) -> np.ndarray:
-    """Principal square root of a PSD matrix (support only)."""
+    """Principal square root of a PSD matrix, or of each matrix of a stack
+    (support only: eigenvalues below ``rank_tol`` times the member's largest
+    are dropped)."""
     w, v = _psd_spectrum(h)
-    wmax = float(w.max()) if w.size else 0.0
-    root = np.where(w > rank_tol * max(wmax, 0.0), np.sqrt(np.clip(w, 0.0, None)), 0.0)
-    return (v * root) @ v.conj().T
+    wmax = np.maximum(w.max(axis=-1, keepdims=True), 0.0)
+    root = np.where(w > rank_tol * wmax, np.sqrt(np.clip(w, 0.0, None)), 0.0)
+    return (v * root[..., None, :]) @ dagger(v)
 
 
 def inv_sqrt_psd(h: np.ndarray, rank_tol: float = RANK_TOL) -> np.ndarray:

@@ -41,7 +41,8 @@ from .criteria import (
     kf_criterion,
     length_bound_criterion,
     ppt_negativity,
-    wootters_concurrence,
+    stacked_negativity,
+    stacked_wootters,
 )
 from .errors import (
     DegenerateFamilyError,
@@ -50,7 +51,16 @@ from .errors import (
     QlossError,
     RankDeficientError,
 )
-from .states import DensityMatrix, StateVector, as_tripartite, density, partial_trace, reduce_support
+from .states import (
+    DensityMatrix,
+    StateVector,
+    as_tripartite,
+    check_density,
+    density,
+    normalize_density,
+    partial_trace,
+    reduce_support,
+)
 
 __version__ = "0.1.0"
 
@@ -399,38 +409,73 @@ def sweep(
     return results
 
 
+def _ginibre(dim: int, rng: np.random.Generator) -> np.ndarray:
+    """Complex Gaussian matrix; the real parts are drawn before the imaginary parts."""
+    return rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+
+
+def _haar(z: np.ndarray) -> np.ndarray:
+    """Haar unitaries from a stack of complex Gaussian matrices, by phase-fixed QR."""
+    q, r = np.linalg.qr(z)
+    d = np.diagonal(r, axis1=-2, axis2=-1)
+    return q * (d / np.abs(d))[..., None, :]
+
+
+def _mixed(z: np.ndarray, spectra: np.ndarray) -> np.ndarray:
+    """Unnormalised mixed states: the Haar eigenbasis of each Gaussian matrix
+    of the stack ``z`` with the eigenvalues in the matching row of ``spectra``."""
+    u = _haar(z)
+    return (u * spectra[..., None, :]) @ numerics.dagger(u)
+
+
+def _random_mixed(dim: int, rng: np.random.Generator) -> np.ndarray:
+    """One unnormalised mixed state; draws as :func:`fig1_scatter` does per sample."""
+    z = _ginibre(dim, rng)
+    return _mixed(z, rng.dirichlet(np.ones(dim)))
+
+
 def random_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
     """Haar-distributed unitary via phase-fixed QR of a Gaussian matrix."""
-    z = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-    q, r = np.linalg.qr(z)
-    d = np.diagonal(r)
-    return q * (d / np.abs(d))
+    return _haar(_ginibre(dim, rng))
 
 
 def random_density_matrix(dim: int, rng: np.random.Generator) -> DensityMatrix:
     """Random mixed state: Haar eigenbasis, eigenvalues uniform on the simplex."""
-    u = random_unitary(dim, rng)
-    spectrum = rng.dirichlet(np.ones(dim))
-    return DensityMatrix.create((u * spectrum) @ u.conj().T, (dim,))
+    return DensityMatrix.create(_random_mixed(dim, rng), (dim,))
 
 
 def random_two_qubit_mixed(rng: np.random.Generator) -> DensityMatrix:
-    rho = random_density_matrix(4, rng)
-    return DensityMatrix(dims=(2, 2), matrix=rho.matrix)
+    """:func:`random_density_matrix` of dimension 4, as a 2 x 2 state."""
+    return DensityMatrix.create(_random_mixed(4, rng), (2, 2))
+
+
+#: Samples that fig1_scatter evaluates as one stack; bounds its working memory.
+FIG1_BLOCK = 1024
 
 
 def fig1_scatter(samples: int, seed: int = 0) -> list[tuple[float, float]]:
     """(concurrence, negativity) pairs for seeded random two-qubit mixed states.
 
-    Every point satisfies negativity <= concurrence. Sample i uses the
-    sub-seed (seed, i), so sample i is the same in every scatter of at
-    least i + 1 samples with this seed.
+    Every point satisfies negativity <= concurrence. Sample i is drawn from
+    its own generator seeded with the sub-seed (seed, i), so sample i is the
+    same in every scatter of at least i + 1 samples with this seed, and it
+    equals :func:`random_two_qubit_mixed` on that generator. The states are
+    then built, validated and measured in stacks of up to ``FIG1_BLOCK``
+    samples, with the same arithmetic as the one-state functions.
     """
     if samples < 1:
         raise InvalidParamsError(f"samples must be >= 1, got {samples}")
+    alpha = np.ones(4)
     pairs: list[tuple[float, float]] = []
-    for index in range(samples):
-        rho = random_two_qubit_mixed(np.random.default_rng(point_seed(seed, index)))
-        _, measure = ppt_negativity(rho)
-        pairs.append((wootters_concurrence(rho), measure.value))
+    for start in range(0, samples, FIG1_BLOCK):
+        count = min(FIG1_BLOCK, samples - start)
+        z = np.empty((count, 4, 4), dtype=complex)
+        spectra = np.empty((count, 4))
+        for j in range(count):
+            rng = np.random.default_rng(point_seed(seed, start + j))
+            z[j] = _ginibre(4, rng)
+            spectra[j] = rng.dirichlet(alpha)
+        rho = normalize_density(_mixed(z, spectra))
+        check_density(rho)
+        pairs.extend(zip(stacked_wootters(rho).tolist(), stacked_negativity(rho, (2, 2)).tolist()))
     return pairs

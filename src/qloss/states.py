@@ -18,8 +18,6 @@ from .errors import (
     InvalidDimensionError,
     InvalidParamsError,
     InvalidSubsystemError,
-    NotHermitianError,
-    NotPSDError,
     StateFileError,
 )
 
@@ -98,14 +96,7 @@ class DensityMatrix:
         d = int(np.prod(dims))
         if mat.shape != (d, d):
             raise DimensionMismatchError(f"matrix shape {mat.shape} does not match dims {dims}")
-        if not numerics.is_hermitian(mat):
-            dev = float(np.abs(mat - mat.conj().T).max())
-            raise NotHermitianError(f"density matrix is not Hermitian (deviation {dev:.3e})")
-        if abs(mat.trace().real - 1.0) > NORM_ATOL:
-            raise InvalidParamsError(f"density matrix trace is {mat.trace().real!r}, not 1")
-        w = np.linalg.eigvalsh((mat + mat.conj().T) / 2.0)
-        if w[0] < -numerics.PSD_ATOL:
-            raise NotPSDError(f"density matrix has negative eigenvalue {w[0]:.3e}")
+        check_density(mat)
         mat.setflags(write=False)
         object.__setattr__(self, "dims", dims)
         object.__setattr__(self, "matrix", mat)
@@ -113,15 +104,38 @@ class DensityMatrix:
     @classmethod
     def create(cls, matrix, dims, atol: float = numerics.HERMITIAN_ATOL) -> "DensityMatrix":
         """Symmetrize, renormalize the trace, validate, and wrap."""
-        mat = np.asarray(matrix, dtype=complex)
-        if not numerics.is_hermitian(mat, atol):
-            dev = float(np.abs(mat - mat.conj().T).max())
-            raise NotHermitianError(f"matrix is not Hermitian (deviation {dev:.3e})")
-        mat = (mat + mat.conj().T) / 2.0
-        tr = float(mat.trace().real)
-        if abs(tr) <= 1e-300:
-            raise InvalidParamsError("matrix has zero trace, cannot normalize")
-        return cls(tuple(int(d) for d in dims), mat / tr)
+        return cls(tuple(int(d) for d in dims), normalize_density(matrix, atol))
+
+
+def normalize_density(matrix, atol: float = numerics.HERMITIAN_ATOL) -> np.ndarray:
+    """Symmetrize a matrix, or each matrix of a stack, and scale it to unit trace.
+
+    Raises :class:`NotHermitianError` if a member is not Hermitian at
+    ``atol`` and :class:`InvalidParamsError` if a member has zero trace.
+    """
+    mat = np.asarray(matrix, dtype=complex)
+    numerics.check_hermitian(mat, atol)
+    mat = (mat + numerics.dagger(mat)) / 2.0
+    tr = mat.trace(axis1=-2, axis2=-1).real
+    if min(np.abs(tr).flat) <= 1e-300:
+        raise InvalidParamsError("matrix has zero trace, cannot normalize")
+    return mat / tr[..., None, None]
+
+
+def check_density(mat: np.ndarray) -> None:
+    """Check that a matrix, or each matrix of a stack, is a density matrix:
+    Hermitian, unit trace and PSD, each to the module's tolerances.
+
+    Raises :class:`NotHermitianError`, :class:`InvalidParamsError` or
+    :class:`NotPSDError` for the first check that any member fails.
+    """
+    numerics.check_hermitian(mat, what="density matrix")
+    tr = mat.trace(axis1=-2, axis2=-1).real
+    off = np.abs(tr - 1.0)
+    if max(off.flat) > NORM_ATOL:
+        raise InvalidParamsError(f"density matrix trace is {float(tr.flat[off.argmax()])!r}, not 1")
+    numerics.check_psd(np.linalg.eigvalsh((mat + numerics.dagger(mat)) / 2.0),
+                       what="density matrix")
 
 
 @dataclass(frozen=True)
@@ -194,13 +208,16 @@ def partial_transpose(rho: DensityMatrix, subsystem: int = 0) -> np.ndarray:
         raise DimensionMismatchError(f"partial transpose needs bipartite dims, got {rho.dims}")
     if subsystem not in (0, 1):
         raise InvalidSubsystemError(f"subsystem must be 0 or 1, got {subsystem}")
-    n, m = rho.dims
-    tensor = rho.matrix.reshape(n, m, n, m)
-    if subsystem == 0:
-        out = tensor.transpose(2, 1, 0, 3)
-    else:
-        out = tensor.transpose(0, 3, 2, 1)
-    return out.reshape(n * m, n * m).copy()
+    return transpose_side(rho.matrix, rho.dims, subsystem)
+
+
+def transpose_side(mats: np.ndarray, dims: tuple[int, int], subsystem: int) -> np.ndarray:
+    """Partial transpose of each (n m) x (n m) matrix of a stack, on one side
+    of the dims ``(n, m)``; returns a new array of the input's shape."""
+    n, m = dims
+    tensor = mats.reshape(mats.shape[:-2] + (n, m, n, m))
+    out = tensor.swapaxes(-4, -2) if subsystem == 0 else tensor.swapaxes(-3, -1)
+    return out.reshape(mats.shape).copy()
 
 
 def local_ranks(rho: DensityMatrix, rank_tol: float = numerics.RANK_TOL) -> tuple[int, int]:

@@ -2,6 +2,9 @@
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from qloss import (
     DensityMatrix,
@@ -27,7 +30,9 @@ from qloss import (
     w,
     wootters_concurrence,
 )
+from qloss.criteria import stacked_negativity, stacked_wootters
 from qloss.errors import NotPSDError
+from qloss.states import normalize_density
 
 from oracles import (
     negativity_oracle,
@@ -338,3 +343,31 @@ def test_negativity_never_exceeds_concurrence():
         rho = DensityMatrix.create(random_density_oracle(rng, 4), (2, 2))
         _, measure = ppt_negativity(rho)
         assert measure.value <= wootters_concurrence(rho) + 1e-9
+
+
+@st.composite
+def _two_qubit_stacks(draw):
+    """Stacks of 1 to 5 two-qubit states A A† / Tr, each of rank at most ``rank``."""
+    count = draw(st.integers(1, 5))
+    rank = draw(st.integers(1, 4))
+    parts = draw(hnp.arrays(np.float64, (2, count, 4, rank),
+                            elements=st.floats(-1.0, 1.0, allow_subnormal=False)))
+    a = parts[0] + 1j * parts[1]
+    gram = a @ a.conj().swapaxes(-1, -2)
+    assume(np.all(np.trace(gram, axis1=-2, axis2=-1).real > 1e-2))
+    return normalize_density(gram)
+
+
+@settings(max_examples=60, deadline=None, database=None, derandomize=True)
+@given(_two_qubit_stacks())
+def test_stacked_two_qubit_measures_equal_stack_of_one(stack):
+    negativity = stacked_negativity(stack, (2, 2))
+    concurrence = stacked_wootters(stack)
+    for index, mat in enumerate(stack):
+        one = stack[index:index + 1]
+        assert negativity[index] == stacked_negativity(one, (2, 2))[0]
+        assert concurrence[index] == stacked_wootters(one)[0]
+        rho = DensityMatrix((2, 2), mat)
+        assert ppt_negativity(rho)[1].value == negativity[index]
+        assert wootters_concurrence(rho) == concurrence[index]
+    assert np.all(negativity <= concurrence + 1e-12)

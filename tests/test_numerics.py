@@ -162,3 +162,50 @@ def test_sqrt_psd_squares_back():
     h = (u * [0.5, 0.3, 0.2, 0.0]) @ u.conj().T
     root = numerics.sqrt_psd(h)
     np.testing.assert_allclose(root @ root, h, atol=1e-12)
+
+
+def _psd_stack(rng, count, dim):
+    """PSD matrices with a zero eigenvalue in the last member."""
+    members = []
+    for index in range(count):
+        u = random_unitary_oracle(rng, dim)
+        w = rng.dirichlet(np.ones(dim))
+        if index == count - 1:
+            w[0] = 0.0
+        members.append((u * w) @ u.conj().T)
+    return np.stack(members)
+
+
+def test_stacked_kernels_match_per_matrix_calls():
+    rng = np.random.default_rng(12)
+    stack = _psd_stack(rng, 5, 4)
+    w, v = numerics.eigh(stack)
+    root = numerics.sqrt_psd(stack)
+    herm = numerics.is_hermitian(stack)
+    assert w.shape == (5, 4) and v.shape == root.shape == (5, 4, 4)
+    assert herm.shape == (5,) and herm.all()
+    for index, h in enumerate(stack):
+        w1, v1 = numerics.eigh(h)
+        assert np.array_equal(w[index], w1) and np.array_equal(v[index], v1)
+        assert np.array_equal(root[index], numerics.sqrt_psd(h))
+        assert numerics.is_hermitian(h) is True
+    w2, _ = numerics.eigh(stack.reshape(5, 1, 4, 4))
+    assert np.array_equal(w2.reshape(5, 4), w)
+
+
+def test_stack_with_one_bad_member_raises():
+    rng = np.random.default_rng(13)
+    stack = _psd_stack(rng, 3, 4)
+    skewed = stack.copy()
+    skewed[1, 0, 1] += 1e-6
+    assert numerics.is_hermitian(skewed).tolist() == [True, False, True]
+    assert [numerics.is_hermitian(h) for h in skewed] == [True, False, True]
+    with pytest.raises(NotHermitianError):
+        numerics.eigh(skewed)
+    with pytest.raises(NotHermitianError):
+        numerics.sqrt_psd(skewed)
+    shifted = stack.copy()
+    shifted[2] -= 1e-6 * np.eye(4)
+    with pytest.raises(NotPSDError):
+        numerics.sqrt_psd(shifted)
+    numerics.sqrt_psd(shifted[:2])

@@ -20,6 +20,8 @@ from qloss import (
     parse_ket,
     partial_trace,
     point_seed,
+    ppt_negativity,
+    random_two_qubit_mixed,
     sweep,
     tiles_state,
     w,
@@ -28,7 +30,7 @@ from qloss import (
 from qloss.bloch import NF_MAX_ITER, NF_TOL
 from qloss.cli import report_to_dict
 from qloss.errors import DegenerateFamilyError, InvalidParamsError
-from qloss.robustness import _pure_residual_concurrence
+from qloss.robustness import FIG1_BLOCK, _pure_residual_concurrence
 from qloss.states import reduce_support
 
 from oracles import negativity_oracle, random_pure, random_unitary_oracle
@@ -374,6 +376,33 @@ def test_fig1_scatter_property_and_determinism():
 
 def test_fig1_scatter_is_prefix_stable():
     assert fig1_scatter(32, seed=3)[:16] == fig1_scatter(16, seed=3)
+
+
+def test_fig1_scatter_matches_per_sample_kernels_across_blocks():
+    seed = 5
+    pairs = fig1_scatter(FIG1_BLOCK + 3, seed=seed)
+    expected = []
+    for index in range(FIG1_BLOCK + 3):
+        rho = random_two_qubit_mixed(np.random.default_rng(point_seed(seed, index)))
+        expected.append((wootters_concurrence(rho), ppt_negativity(rho)[1].value))
+    assert pairs == expected
+    values = np.array(pairs)
+    assert np.any(values == 0.0)
+    assert not np.any(np.signbit(values))
+
+
+def test_random_two_qubit_mixed_validates_once(monkeypatch):
+    calls = []
+    post_init = DensityMatrix.__post_init__
+
+    def counting(self):
+        calls.append(self.dims)
+        post_init(self)
+
+    monkeypatch.setattr(DensityMatrix, "__post_init__", counting)
+    rho = random_two_qubit_mixed(np.random.default_rng(0))
+    assert rho.dims == (2, 2)
+    assert calls == [(2, 2)]
 
 
 def test_fig1_scatter_validates_samples():

@@ -25,6 +25,7 @@ from qloss.errors import (
     NotHermitianError,
     NotPSDError,
 )
+from qloss.states import check_density, normalize_density
 
 from oracles import (
     negativity_oracle,
@@ -289,3 +290,23 @@ def test_reduce_support_preserves_negativity():
         assert reduced.dims == dims_small
         after = negativity_oracle(reduced.matrix, *reduced.dims)
         assert after == pytest.approx(before, abs=1e-9)
+
+
+def test_density_check_on_a_stack_matches_per_matrix_validation():
+    rng = np.random.default_rng(14)
+    raw = np.stack([3.0 * random_density_oracle(rng, 6) for _ in range(4)])
+    stack = normalize_density(raw)
+    check_density(stack)
+    for mat, normalized in zip(raw, stack):
+        assert np.array_equal(DensityMatrix.create(mat, (2, 3)).matrix, normalized)
+    bad = {NotHermitianError: stack.copy(), InvalidParamsError: stack.copy(),
+           NotPSDError: normalize_density(np.stack([np.diag([1.0, 0, 0, 0, 0, 0])] * 4))}
+    bad[NotHermitianError][2, 0, 1] += 1e-6
+    bad[InvalidParamsError][3] *= 1.01
+    bad[NotPSDError][1] = np.diag([1.0 + 1e-6, -1e-6, 0, 0, 0, 0])
+    for error, mats in bad.items():
+        with pytest.raises(error):
+            check_density(mats)
+        with pytest.raises(error):
+            for mat in mats:
+                DensityMatrix((2, 3), mat)
