@@ -46,7 +46,7 @@ from .errors import (
     RankDeficientError,
     StateFileError,
 )
-from .numerics import eigh, inv_sqrt_psd, kron, ky_fan_norm, sqrt_psd, svd, trace_norm
+from .numerics import eigh, inv_sqrt_psd, ky_fan_norm, sqrt_psd, svd, trace_norm
 from .robustness import (
     Classification,
     RobustnessReport,
@@ -69,14 +69,11 @@ from .robustness import (
 from .states import (
     DensityMatrix,
     DimSpec,
-    GammaBlocks,
     StateFile,
     StateVector,
     SupportReduction,
     as_tripartite,
     density,
-    gamma_blocks,
-    local_ranks,
     parse_ket,
     parse_state_file,
     partial_trace,

@@ -129,27 +129,18 @@ def _normal_form_steps(
         return rho, 0
     # rho = G G^dag with G of shape (n, m, rank); the filters act on G's legs,
     # so every iterate is PSD and no step touches an NM x NM matrix
-    w, v = numerics.eigh(rho.matrix)
-    keep = w > rank_tol * float(w.max())
-    rank = int(keep.sum())
-    g = (v[:, keep] * np.sqrt(w[keep])).reshape(n, m, rank)
+    g = rho._gram_factor(rank_tol).reshape(n, m, -1)
     stalled = 0
     for iteration in range(max_iter):
         if deviation <= tol:
-            flat = g.reshape(n * m, rank)
-            try:
-                return DensityMatrix.create(flat @ flat.conj().T, (n, m)), iteration
-            except NotPSDError as exc:
-                # G G^dag is PSD; only a numerical breakdown can get here
-                raise NoConvergenceError(
-                    f"normal-form filtering left the PSD cone after {iteration} "
-                    f"iterations ({exc})", iterations=iteration) from exc
+            flat = g.reshape(n * m, -1)
+            return DensityMatrix._trusted(flat @ flat.conj().T, (n, m)), iteration
         # one side per half-step, F_B taken from the state F_A left behind
         # (operator Sinkhorn scaling); applying both filters of one state at
         # once falls into a 2-cycle on rank-2 N x N residuals
         try:
-            g_a = numerics.inv_sqrt_psd(n * rho_a, rank_tol) @ g.reshape(n, m * rank)
-            g_b = g_a.reshape(n, m, rank).transpose(1, 0, 2).reshape(m, n * rank)
+            g_a = numerics.inv_sqrt_psd(n * rho_a, rank_tol) @ g.reshape(n, -1)
+            g_b = g_a.reshape(n, m, -1).transpose(1, 0, 2).reshape(m, -1)
             g_b = numerics.inv_sqrt_psd(m * (g_b @ g_b.conj().T), rank_tol) @ g_b
         except NotPSDError as exc:
             # divergent trajectories on rank-deficient states amplify noise
@@ -163,8 +154,8 @@ def _normal_form_steps(
                 f"normal-form filtering collapsed the state after {iteration} iterations",
                 iterations=iteration)
         g_b = g_b / np.sqrt(trace)
-        g = g_b.reshape(m, n, rank).transpose(1, 0, 2)
-        g_a = g.reshape(n, m * rank)
+        g = g_b.reshape(m, n, -1).transpose(1, 0, 2)
+        g_a = g.reshape(n, -1)
         prev_a, prev_b = rho_a, rho_b
         rho_a, rho_b = g_a @ g_a.conj().T, g_b @ g_b.conj().T
         change = max(float(np.abs(rho_a - prev_a).max()), float(np.abs(rho_b - prev_b).max()))
@@ -190,11 +181,12 @@ def normal_form(
 ) -> DensityMatrix:
     """Filter a full-local-rank state to maximally mixed marginals.
 
-    Factors rho = G G^dag once and then alternates the two sides (operator
-    Sinkhorn scaling): each step applies F_A = (N rho_A)^(-1/2) to G's first
-    leg, recomputes rho_B, and applies F_B = (M rho_B)^(-1/2) to its second
-    leg, until both marginals are within ``tol`` (max-entry distance) of
-    I/d. A state already within ``tol`` is returned as it is.
+    Factors rho = G G^dag once (G from a Gamma-block residual's blocks, or by
+    diagonalising rho) and alternates the two sides (operator Sinkhorn
+    scaling): each step applies F_A = (N rho_A)^(-1/2) to G's first leg,
+    recomputes rho_B, and applies F_B = (M rho_B)^(-1/2) to its second leg,
+    until both marginals are within ``tol`` (max-entry distance) of I/d. A
+    state already within ``tol`` is returned as it is.
 
     Raises :class:`RankDeficientError` if a marginal is rank deficient and
     :class:`NoConvergenceError` if the iteration stalls, breaks down or hits

@@ -33,11 +33,6 @@ PSD_ATOL = 1e-10
 RANK_TOL = 1e-10
 
 
-def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kronecker product, dims (a.rows*b.rows) x (a.cols*b.cols)."""
-    return np.kron(np.asarray(a), np.asarray(b))
-
-
 def dagger(m: np.ndarray) -> np.ndarray:
     """Conjugate transpose of each matrix of a stack."""
     return m.conj().swapaxes(-1, -2)

@@ -4,7 +4,7 @@ A tripartite 2 x N x M pure state is *robust* against losing its qubit when
 the residual N x M mixed state (qubit traced out) is still entangled, and
 *fragile* when the residual is separable. The classifier runs:
 
-1. partial trace over the qubit (subsystem 0),
+1. the residual after losing the qubit (subsystem 0), from the Gamma blocks,
 2. support reduction to full local ranks (entanglement-preserving),
 3. the PPT/negativity test,
 4. normal-form filtering, then the Ky Fan criterion on success (the
@@ -54,11 +54,9 @@ from .errors import (
 from .states import (
     DensityMatrix,
     StateVector,
+    _gamma_residual,
     as_tripartite,
-    check_density,
-    density,
     normalize_density,
-    partial_trace,
     reduce_support,
 )
 
@@ -172,16 +170,16 @@ def classify_residual(
 
 
 def _pure_residual_concurrence(rho: DensityMatrix, rank_tol: float) -> MeasureValue | None:
-    """Exact concurrence of a rank-1 residual from its top eigenvector; None if mixed."""
+    """Exact concurrence of a rank-1 residual from its Gram factor; None if mixed."""
     # under the rank_tol rule a pure residual has 1 - Tr(rho^2) <= 2 (d - 1) rank_tol,
     # since 1 - w1^2 <= 2 (1 - w1); the 1e-12 absorbs the trace's rounding
     dim = rho.matrix.shape[0]
     if 1.0 - np.vdot(rho.matrix, rho.matrix).real > 2 * (dim - 1) * rank_tol + 1e-12:
         return None
-    w, v = numerics.eigh(rho.matrix)
-    if int((w > rank_tol * float(w.max())).sum()) != 1:
+    g = rho._gram_factor(rank_tol)
+    if g.shape[1] != 1:
         return None
-    value = concurrence_pure(StateVector.create(v[:, -1], rho.dims)).value
+    value = concurrence_pure(StateVector.create(g[:, 0], rho.dims)).value
     return MeasureValue("concurrence", value, "exact", notes="pure residual")
 
 
@@ -202,7 +200,7 @@ def classify_qubit_loss(
     """
     tick = time.perf_counter()
     canonical, spec = as_tripartite(state)
-    rho = partial_trace(density(canonical), keep=(1, 2))
+    rho = _gamma_residual(canonical)
     trace_ms = (time.perf_counter() - tick) * 1e3
     info = {
         "kind": "tripartite_pure",
@@ -475,7 +473,7 @@ def fig1_scatter(samples: int, seed: int = 0) -> list[tuple[float, float]]:
             rng = np.random.default_rng(point_seed(seed, start + j))
             z[j] = _ginibre(4, rng)
             spectra[j] = rng.dirichlet(alpha)
+        # checked Hermitian here, and PSD by the square root in stacked_wootters
         rho = normalize_density(_mixed(z, spectra))
-        check_density(rho)
         pairs.extend(zip(stacked_wootters(rho).tolist(), stacked_negativity(rho, (2, 2)).tolist()))
     return pairs

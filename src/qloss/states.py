@@ -85,10 +85,16 @@ class StateVector:
 
 @dataclass(frozen=True)
 class DensityMatrix:
-    """Hermitian, unit-trace, PSD matrix with subsystem dimensions attached."""
+    """Hermitian, unit-trace, PSD matrix with subsystem dimensions attached.
+
+    Validated on construction, except by :meth:`_trusted`, which builds the
+    states derived from valid ones: those are PSD by construction."""
 
     dims: tuple[int, ...]
     matrix: np.ndarray
+
+    _factor = None          # Gram factor F, matrix proportional to F F^dag; see _trusted
+    _symmetrized = False    # set by create, whose input passed its own Hermitian check
 
     def __post_init__(self):
         mat = np.asarray(self.matrix, dtype=complex)
@@ -96,7 +102,7 @@ class DensityMatrix:
         d = int(np.prod(dims))
         if mat.shape != (d, d):
             raise DimensionMismatchError(f"matrix shape {mat.shape} does not match dims {dims}")
-        check_density(mat)
+        (_check_unit_psd if self._symmetrized else check_density)(mat)
         mat.setflags(write=False)
         object.__setattr__(self, "dims", dims)
         object.__setattr__(self, "matrix", mat)
@@ -104,7 +110,29 @@ class DensityMatrix:
     @classmethod
     def create(cls, matrix, dims, atol: float = numerics.HERMITIAN_ATOL) -> "DensityMatrix":
         """Symmetrize, renormalize the trace, validate, and wrap."""
-        return cls(tuple(int(d) for d in dims), normalize_density(matrix, atol))
+        rho = object.__new__(cls)
+        vars(rho)["_symmetrized"] = True
+        rho.__init__(tuple(int(d) for d in dims), normalize_density(matrix, atol))
+        return rho
+
+    @classmethod
+    def _trusted(cls, matrix, dims, factor: np.ndarray | None = None) -> "DensityMatrix":
+        """Symmetrize and renormalize like :meth:`create`, but check nothing;
+        ``factor``, if given, is a Gram factor of ``matrix``."""
+        mat = _unit_trace(np.asarray(matrix, dtype=complex))
+        mat.setflags(write=False)
+        rho = object.__new__(cls)
+        vars(rho).update(dims=tuple(int(d) for d in dims), matrix=mat, _factor=factor)
+        return rho
+
+    def _gram_factor(self, rank_tol: float = numerics.RANK_TOL) -> np.ndarray:
+        """F with ``matrix`` proportional to F F^dag and one orthogonal column per
+        eigenvalue above ``rank_tol`` times the largest, ascending. A kept factor G
+        is orthogonalised through G^dag G, else ``matrix`` is diagonalised."""
+        g = self._factor
+        w, v = numerics.eigh(self.matrix if g is None else g.conj().T @ g)
+        keep = w > rank_tol * float(w.max())
+        return v[:, keep] * np.sqrt(w[keep]) if g is None else g @ v[:, keep]
 
 
 def normalize_density(matrix, atol: float = numerics.HERMITIAN_ATOL) -> np.ndarray:
@@ -115,6 +143,10 @@ def normalize_density(matrix, atol: float = numerics.HERMITIAN_ATOL) -> np.ndarr
     """
     mat = np.asarray(matrix, dtype=complex)
     numerics.check_hermitian(mat, atol)
+    return _unit_trace(mat)
+
+
+def _unit_trace(mat: np.ndarray) -> np.ndarray:
     mat = (mat + numerics.dagger(mat)) / 2.0
     tr = mat.trace(axis1=-2, axis2=-1).real
     if min(np.abs(tr).flat) <= 1e-300:
@@ -130,20 +162,16 @@ def check_density(mat: np.ndarray) -> None:
     :class:`NotPSDError` for the first check that any member fails.
     """
     numerics.check_hermitian(mat, what="density matrix")
+    _check_unit_psd(mat)
+
+
+def _check_unit_psd(mat: np.ndarray) -> None:
     tr = mat.trace(axis1=-2, axis2=-1).real
     off = np.abs(tr - 1.0)
     if max(off.flat) > NORM_ATOL:
         raise InvalidParamsError(f"density matrix trace is {float(tr.flat[off.argmax()])!r}, not 1")
     numerics.check_psd(np.linalg.eigvalsh((mat + numerics.dagger(mat)) / 2.0),
                        what="density matrix")
-
-
-@dataclass(frozen=True)
-class GammaBlocks:
-    """The two N x M amplitude blocks of a qubit x N x M pure state."""
-
-    g1: np.ndarray
-    g2: np.ndarray
 
 
 def as_tripartite(state: StateVector) -> tuple[StateVector, DimSpec]:
@@ -162,19 +190,18 @@ def as_tripartite(state: StateVector) -> tuple[StateVector, DimSpec]:
     return StateVector.create(amps, (spec.d0, spec.d1, spec.d2), normalize=False), spec
 
 
-def gamma_blocks(state: StateVector) -> GammaBlocks:
-    """Split a tripartite state's amplitudes into its two qubit blocks."""
-    if len(state.dims) != 3 or state.dims[0] != 2:
-        raise DimensionMismatchError(f"expected dims (2, N, M), got {state.dims}")
-    _, n, m = state.dims
-    tensor = state.amplitudes.reshape(2, n, m)
-    return GammaBlocks(g1=tensor[0].copy(), g2=tensor[1].copy())
-
-
 def density(state: StateVector) -> DensityMatrix:
     """Rank-1 projector |psi><psi| of a pure state."""
     rho = np.outer(state.amplitudes, state.amplitudes.conj())
-    return DensityMatrix.create(rho, state.dims)
+    return DensityMatrix._trusted(rho, state.dims)
+
+
+def _gamma_residual(state: StateVector) -> DensityMatrix:
+    """What a (2, N, M) pure state leaves when its qubit is lost: G G^dag, with
+    the two Gamma blocks as the columns of G, which it keeps as its factor."""
+    _, n, m = state.dims
+    g = state.amplitudes.reshape(2, n * m).T
+    return DensityMatrix._trusted(g @ g.conj().T, (n, m), factor=g)
 
 
 def partial_trace(rho: DensityMatrix, keep) -> DensityMatrix:
@@ -195,7 +222,7 @@ def partial_trace(rho: DensityMatrix, keep) -> DensityMatrix:
     out_dims = tuple(dims[i] for i in keep)
     d = int(np.prod(out_dims))
     reduced = np.einsum(subscripts, tensor).reshape(d, d)
-    return DensityMatrix.create(reduced, out_dims)
+    return DensityMatrix._trusted(reduced, out_dims)
 
 
 def partial_transpose(rho: DensityMatrix, subsystem: int = 0) -> np.ndarray:
@@ -218,17 +245,6 @@ def transpose_side(mats: np.ndarray, dims: tuple[int, int], subsystem: int) -> n
     tensor = mats.reshape(mats.shape[:-2] + (n, m, n, m))
     out = tensor.swapaxes(-4, -2) if subsystem == 0 else tensor.swapaxes(-3, -1)
     return out.reshape(mats.shape).copy()
-
-
-def local_ranks(rho: DensityMatrix, rank_tol: float = numerics.RANK_TOL) -> tuple[int, int]:
-    """Ranks of the two marginals at the relative eigenvalue threshold."""
-    if len(rho.dims) != 2:
-        raise DimensionMismatchError(f"local ranks need bipartite dims, got {rho.dims}")
-    counts = []
-    for side in (0, 1):
-        w, _ = numerics.eigh(partial_trace(rho, [side]).matrix)
-        counts.append(int((w > rank_tol * float(w.max())).sum()))
-    return counts[0], counts[1]
 
 
 @dataclass(frozen=True)
@@ -258,14 +274,14 @@ def reduce_support(
     if len(rho.dims) != 2:
         raise DimensionMismatchError(f"support reduction needs bipartite dims, got {rho.dims}")
     big_n, big_m = rho.dims
+    tensor = rho.matrix.reshape(big_n, big_m, big_n, big_m)
     basis = []
     ranks = []
-    for side, dim in ((0, big_n), (1, big_m)):
-        w, v = numerics.eigh(partial_trace(rho, [side]).matrix)
+    for marginal in (np.einsum("jmkm->jk", tensor), np.einsum("jmjn->mn", tensor)):
+        w, v = numerics.eigh(marginal)
         w, v = w[::-1], v[:, ::-1]
-        rank = int((w > rank_tol * float(w.max())).sum())
         basis.append(v)
-        ranks.append(rank)
+        ranks.append(int((w > rank_tol * float(w.max())).sum()))
     n, m = ranks
     if (n, m) == (big_n, big_m):
         record = SupportReduction(
@@ -273,11 +289,12 @@ def reduce_support(
             dims_before=(big_n, big_m), dims_after=(big_n, big_m), reduced=False)
         return rho, record
     iso = np.kron(basis[0][:, :n], basis[1][:, :m])
-    compressed = iso.conj().T @ rho.matrix @ iso
     record = SupportReduction(
         u_a=basis[0], u_b=basis[1],
         dims_before=(big_n, big_m), dims_after=(n, m), reduced=True)
-    return DensityMatrix.create(compressed, (n, m)), record
+    g = None if rho._factor is None else iso.conj().T @ rho._factor
+    compressed = iso.conj().T @ rho.matrix @ iso if g is None else g @ g.conj().T
+    return DensityMatrix._trusted(compressed, (n, m), factor=g), record
 
 
 def parse_ket(text: str, dims, normalize: bool = True) -> StateVector:

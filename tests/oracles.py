@@ -8,19 +8,6 @@ independent computation path.
 import numpy as np
 
 
-def kron_oracle(a, b):
-    """Kronecker product by explicit index loops."""
-    ra, ca = a.shape
-    rb, cb = b.shape
-    out = np.zeros((ra * rb, ca * cb), dtype=complex)
-    for i in range(ra):
-        for j in range(ca):
-            for k in range(rb):
-                for l in range(cb):
-                    out[i * rb + k, j * cb + l] = a[i, j] * b[k, l]
-    return out
-
-
 def ptrace_brute(mat, dims, keep):
     """Partial trace by summing matrix entries index by index."""
     dims = tuple(dims)

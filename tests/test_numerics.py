@@ -6,9 +6,8 @@ import pytest
 from qloss import numerics
 from qloss.errors import NotHermitianError, NotPSDError
 
-from oracles import kron_oracle, random_hermitian, random_unitary_oracle
+from oracles import random_hermitian, random_unitary_oracle
 
-SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SZ = np.diag([1.0, -1.0]).astype(complex)
 
 # partial transpose of the four-term 2x3x3 state's residual, used as a golden
@@ -18,28 +17,6 @@ for _r, _c in [(0, 4), (4, 0), (1, 1), (3, 3), (5, 5), (7, 7), (4, 8), (8, 4)]:
     EX4_PT[_r, _c] = 0.25
 EX4_PT_SPECTRUM = np.sort([-1 / (2 * np.sqrt(2)), 1 / (2 * np.sqrt(2)),
                            0.25, 0.25, 0.25, 0.25, 0.0, 0.0, 0.0])
-
-
-def test_kron_identity():
-    np.testing.assert_allclose(numerics.kron(np.eye(2), np.eye(2)), np.eye(4))
-
-
-def test_kron_diagonal():
-    got = numerics.kron(np.diag([1.0, 2.0]), np.diag([3.0, 4.0]))
-    np.testing.assert_allclose(got, np.diag([3.0, 4.0, 6.0, 8.0]))
-
-
-def test_kron_pauli_corner_entries():
-    got = numerics.kron(SX, SX)
-    assert got[0, 3] == 1 and got[3, 0] == 1
-    assert got[0, 0] == 0
-
-
-def test_kron_matches_loop_oracle():
-    rng = np.random.default_rng(11)
-    a = rng.normal(size=(3, 2)) + 1j * rng.normal(size=(3, 2))
-    b = rng.normal(size=(2, 4)) + 1j * rng.normal(size=(2, 4))
-    np.testing.assert_allclose(numerics.kron(a, b), kron_oracle(a, b), atol=1e-14)
 
 
 def test_eigh_pauli_z_spectrum():

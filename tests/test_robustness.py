@@ -29,7 +29,7 @@ from qloss import (
 )
 from qloss.bloch import NF_MAX_ITER, NF_TOL
 from qloss.cli import report_to_dict
-from qloss.errors import DegenerateFamilyError, InvalidParamsError
+from qloss.errors import DegenerateFamilyError, InvalidParamsError, NotPSDError
 from qloss.robustness import FIG1_BLOCK, _pure_residual_concurrence
 from qloss.states import reduce_support
 
@@ -162,6 +162,48 @@ def test_ky_fan_runs_on_generic_2xNxN_input(n):
     reduced, _ = reduce_support(partial_trace(density(state), keep=(1, 2)))
     for marginal in marginals(normal_form(reduced)):
         assert np.abs(marginal.matrix - np.eye(n) / n).max() <= NF_TOL
+
+
+def _count_eigensolves(monkeypatch) -> list[int]:
+    """Record the matrix size of every numpy eigensolve from now on."""
+    sizes = []
+    for name in ("eigh", "eigvalsh"):
+        def counting(a, *args, _solve=getattr(np.linalg, name), **kwargs):
+            sizes.append(np.shape(a)[-1])
+            return _solve(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counting)
+    return sizes
+
+
+def test_pure_input_pipeline_cost(monkeypatch):
+    # the PPT test is the only NM x NM eigensolve, nothing after the
+    # StateVector boundary validates a density matrix, and the 2NM x 2NM
+    # projector is never formed
+    import qloss.robustness
+    import qloss.states
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the residual is built from the Gamma blocks")
+
+    for module in (qloss.states, qloss.robustness):
+        for name in ("density", "partial_trace"):
+            monkeypatch.setattr(module, name, forbidden, raising=False)
+    rng = np.random.default_rng(4)
+    state = StateVector.create(rng.normal(size=32) + 1j * rng.normal(size=32), (2, 4, 4))
+    validations = []
+    post_init = DensityMatrix.__post_init__
+
+    def counting(self):
+        validations.append(self.dims)
+        post_init(self)
+
+    monkeypatch.setattr(DensityMatrix, "__post_init__", counting)
+    sizes = _count_eigensolves(monkeypatch)
+    report = classify_qubit_loss(state)
+    assert report.normal_form_status == "converged"
+    assert validations == []
+    assert sizes.count(16) == 1 and max(sizes) == 16
 
 
 def test_pure_residual_concurrence_skips_eigh_on_mixed_residual(monkeypatch):
@@ -403,6 +445,27 @@ def test_random_two_qubit_mixed_validates_once(monkeypatch):
     rho = random_two_qubit_mixed(np.random.default_rng(0))
     assert rho.dims == (2, 2)
     assert calls == [(2, 2)]
+
+
+def test_fig1_block_takes_three_eigensolves(monkeypatch):
+    sizes = _count_eigensolves(monkeypatch)
+    fig1_scatter(50)
+    assert sizes == [4, 4, 4]
+
+
+def test_fig1_block_with_a_non_psd_member_raises(monkeypatch):
+    import qloss.robustness
+
+    mixed = qloss.robustness._mixed
+
+    def one_bad(z, spectra):
+        out = mixed(z, spectra)
+        out[3] = np.diag([1.0, 0.5, 0.5, -0.1])
+        return out
+
+    monkeypatch.setattr(qloss.robustness, "_mixed", one_bad)
+    with pytest.raises(NotPSDError):
+        fig1_scatter(10)
 
 
 def test_fig1_scatter_validates_samples():

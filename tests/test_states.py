@@ -1,7 +1,10 @@
-"""State types, Gamma blocks, reductions, and transposes."""
+"""State types, the Gamma-block residual, reductions, and transposes."""
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from qloss import (
     DensityMatrix,
@@ -9,8 +12,8 @@ from qloss import (
     StateVector,
     as_tripartite,
     density,
-    gamma_blocks,
-    local_ranks,
+    ghz,
+    numerics,
     parse_ket,
     partial_trace,
     partial_transpose,
@@ -25,7 +28,7 @@ from qloss.errors import (
     NotHermitianError,
     NotPSDError,
 )
-from qloss.states import check_density, normalize_density
+from qloss.states import _gamma_residual, check_density, normalize_density
 
 from oracles import (
     negativity_oracle,
@@ -87,37 +90,103 @@ def test_density_matrix_create_normalizes_and_symmetrizes():
         DensityMatrix.create(np.diag([1.5, -0.5]), (2,))
 
 
+def test_density_matrix_create_checks_hermiticity_once(monkeypatch):
+    calls = []
+    check_hermitian = numerics.check_hermitian
+
+    def counting(*args, **kwargs):
+        calls.append(args[0].shape)
+        check_hermitian(*args, **kwargs)
+
+    monkeypatch.setattr(numerics, "check_hermitian", counting)
+    DensityMatrix.create(4.0 * np.eye(2), (2,))
+    assert calls == [(2, 2)]
+    with pytest.raises(DimensionMismatchError):
+        DensityMatrix.create(np.eye(3), (2,))
+
+
 def test_gamma_blocks_ghz():
-    from qloss import ghz
-    blocks = gamma_blocks(ghz())
+    residual = _gamma_residual(ghz())
     s = 1 / np.sqrt(2)
-    np.testing.assert_allclose(blocks.g1, [[s, 0], [0, 0]], atol=1e-15)
-    np.testing.assert_allclose(blocks.g2, [[0, 0], [0, s]], atol=1e-15)
+    np.testing.assert_allclose(residual._factor[:, 0].reshape(2, 2), [[s, 0], [0, 0]], atol=1e-15)
+    np.testing.assert_allclose(residual._factor[:, 1].reshape(2, 2), [[0, 0], [0, s]], atol=1e-15)
+    assert residual.dims == (2, 2)
+    np.testing.assert_allclose(residual.matrix, np.diag([0.5, 0, 0, 0.5]), atol=1e-15)
 
 
 def test_gamma_blocks_product_state():
-    state = parse_ket("|000>", (2, 2, 2))
-    blocks = gamma_blocks(state)
-    np.testing.assert_allclose(blocks.g1, [[1, 0], [0, 0]])
-    np.testing.assert_allclose(blocks.g2, np.zeros((2, 2)))
+    residual = _gamma_residual(parse_ket("|000>", (2, 2, 2)))
+    np.testing.assert_allclose(residual._factor[:, 0].reshape(2, 2), [[1, 0], [0, 0]])
+    np.testing.assert_allclose(residual._factor[:, 1].reshape(2, 2), np.zeros((2, 2)))
+    np.testing.assert_allclose(residual.matrix, np.diag([1.0, 0, 0, 0]), atol=1e-15)
 
 
 def test_gamma_blocks_four_term_state():
-    blocks = gamma_blocks(EX4)
+    residual = _gamma_residual(EX4)
     want1 = np.zeros((3, 3))
     want1[1, 0] = want1[0, 1] = 0.5
     want2 = np.zeros((3, 3))
     want2[1, 2] = want2[2, 1] = 0.5
-    np.testing.assert_allclose(blocks.g1, want1, atol=1e-15)
-    np.testing.assert_allclose(blocks.g2, want2, atol=1e-15)
+    np.testing.assert_allclose(residual._factor[:, 0].reshape(3, 3), want1, atol=1e-15)
+    np.testing.assert_allclose(residual._factor[:, 1].reshape(3, 3), want2, atol=1e-15)
+    want = np.zeros((9, 9))
+    for block in (want1, want2):
+        want += np.outer(block.reshape(-1), block.reshape(-1))
+    np.testing.assert_allclose(residual.matrix, want, atol=1e-15)
 
 
 def test_gamma_block_norms_sum_to_one():
     rng = np.random.default_rng(1)
     state = StateVector.create(random_pure(rng, 2 * 3 * 4), (2, 3, 4))
-    blocks = gamma_blocks(state)
-    total = np.linalg.norm(blocks.g1) ** 2 + np.linalg.norm(blocks.g2) ** 2
-    assert total == pytest.approx(1.0, abs=1e-12)
+    residual = _gamma_residual(state)
+    assert np.linalg.norm(residual._factor) ** 2 == pytest.approx(1.0, abs=1e-12)
+    assert residual.matrix.trace().real == pytest.approx(1.0, abs=1e-12)
+
+
+_UNIT = st.floats(-1.0, 1.0, allow_subnormal=False)
+
+
+@st.composite
+def _pure_2xnxm(draw):
+    """Pure 2 x N x M states with N in 2..6 and M in 2..7, so N > M (stored
+    swapped) occurs: generic ones, and |0>|a1 b1> + |1>|a2 b2>, whose
+    residual has local ranks at most 2."""
+    n, m = draw(st.integers(2, 6)), draw(st.integers(2, 7))
+    if draw(st.booleans()):
+        parts = draw(hnp.arrays(np.float64, (2, 2 * n * m), elements=_UNIT))
+        amps = parts[0] + 1j * parts[1]
+    else:
+        a = draw(hnp.arrays(np.float64, (2, 2, n), elements=_UNIT))
+        b = draw(hnp.arrays(np.float64, (2, 2, m), elements=_UNIT))
+        amps = np.einsum("kj,kl->kjl", a[0] + 1j * a[1], b[0] + 1j * b[1]).reshape(-1)
+    assume(np.linalg.norm(amps) > 1e-2)
+    return StateVector.create(amps, (2, n, m))
+
+
+@settings(max_examples=60, deadline=None, database=None, derandomize=True)
+@given(_pure_2xnxm())
+def test_gamma_residual_matches_brute_partial_trace(state):
+    canonical, spec = as_tripartite(state)
+    residual = _gamma_residual(canonical)
+    _, a, b = state.dims
+    want = ptrace_brute(np.outer(state.amplitudes, state.amplitudes.conj()), state.dims, (1, 2))
+    if spec.swapped:
+        want = want.reshape(a, b, a, b).transpose(1, 0, 3, 2).reshape(a * b, a * b)
+    assert residual.dims == (spec.d1, spec.d2)
+    assert np.abs(residual.matrix - want).max() <= 1e-14
+    # the compressed factor gives the state the dense compression gives
+    reduced, record = reduce_support(residual)
+    n, m = reduced.dims
+    iso = np.kron(record.u_a[:, :n], record.u_b[:, :m])
+    dense = DensityMatrix._trusted(iso.conj().T @ residual.matrix @ iso, (n, m))
+    assert np.abs(reduced.matrix - dense.matrix).max() <= 1e-14
+    # the reduced state keeps its factor, which gives the rank the
+    # diagonalisation gives
+    assert reduced._factor is not None
+    factor = reduced._gram_factor()
+    assert factor.shape[1] == dense._gram_factor().shape[1]
+    assert np.abs(factor @ factor.conj().T / np.vdot(factor, factor).real
+                  - reduced.matrix).max() <= 1e-12
 
 
 def test_density_is_projector():
@@ -130,14 +199,13 @@ def test_density_blocks_are_vec_outer_products():
     rng = np.random.default_rng(2)
     for dims in ((2, 2, 2), (2, 3, 3), (2, 2, 4)):
         state = StateVector.create(random_pure(rng, int(np.prod(dims))), dims)
-        blocks = gamma_blocks(state)
+        gammas = _gamma_residual(state)._factor
         rho = density(state).matrix
         nm = dims[1] * dims[2]
-        vecs = [blocks.g1.reshape(-1), blocks.g2.reshape(-1)]
         for i in range(2):
             for j in range(2):
                 block = rho[i * nm:(i + 1) * nm, j * nm:(j + 1) * nm]
-                np.testing.assert_allclose(block, np.outer(vecs[i], vecs[j].conj()),
+                np.testing.assert_allclose(block, np.outer(gammas[:, i], gammas[:, j].conj()),
                                            atol=1e-12)
 
 
@@ -246,6 +314,9 @@ def _embed(rho_small, dims_small, dims_big, rng):
 
 
 def test_local_ranks():
+    def local_ranks(rho):
+        return reduce_support(rho)[1].dims_after
+
     assert local_ranks(density(BELL)) == (2, 2)
     assert local_ranks(density(StateVector.create([1, 0, 0, 0], (2, 2)))) == (1, 1)
     rng = np.random.default_rng(9)
