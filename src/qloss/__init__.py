@@ -61,7 +61,6 @@ from .robustness import (
     point_seed,
     random_density_matrix,
     random_two_qubit_mixed,
-    random_unitary,
     sweep,
     tiles_state,
     w,

@@ -151,16 +151,18 @@ def sqrt_psd(h: np.ndarray, rank_tol: float = RANK_TOL) -> np.ndarray:
     return (v * root[..., None, :]) @ dagger(v)
 
 
-def inv_sqrt_psd(h: np.ndarray, rank_tol: float = RANK_TOL) -> np.ndarray:
-    """Pseudo-inverse square root of a PSD matrix on its support.
+def inv_sqrt_psd(h: np.ndarray, rank_tol: float = RANK_TOL, power: float = 1.0) -> np.ndarray:
+    """Pseudo-inverse square root of a PSD matrix on its support, raised to
+    ``power``: ``h^(-power/2)``.
 
     Eigenvalues below ``rank_tol * max(eigenvalue)`` are treated as zero and
     projected out (their inverse contribution is 0). Raises
-    :class:`NotPSDError` if an eigenvalue is below -1e-10.
+    :class:`NotPSDError` if an eigenvalue is below -1e-10. The power is taken
+    of ``1/sqrt(w)``, so ``power=1`` is the plain inverse square root bit for bit.
     """
     w, v = _psd_spectrum(h)
     wmax = float(w.max()) if w.size else 0.0
     keep = w > rank_tol * max(wmax, 0.0)
     inv = np.zeros_like(w)
-    inv[keep] = 1.0 / np.sqrt(w[keep])
+    inv[keep] = (1.0 / np.sqrt(w[keep])) ** power
     return (v * inv) @ v.conj().T

@@ -432,11 +432,6 @@ def _random_mixed(dim: int, rng: np.random.Generator) -> np.ndarray:
     return _mixed(z, rng.dirichlet(np.ones(dim)))
 
 
-def random_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
-    """Haar-distributed unitary via phase-fixed QR of a Gaussian matrix."""
-    return _haar(_ginibre(dim, rng))
-
-
 def random_density_matrix(dim: int, rng: np.random.Generator) -> DensityMatrix:
     """Random mixed state: Haar eigenbasis, eigenvalues uniform on the simplex."""
     return DensityMatrix.create(_random_mixed(dim, rng), (dim,))

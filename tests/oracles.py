@@ -87,6 +87,45 @@ def bloch_t_oracle(mat, basis_a, basis_b):
     return t
 
 
+def sinkhorn_oracle(mat, dims, tol=1e-9, max_iter=500, rank_tol=1e-10):
+    """Unrelaxed operator Sinkhorn scaling of a bipartite density matrix.
+
+    Factors ``mat = G G^dag`` by diagonalising it, then alternates
+    ``(N rho_A)^(-1/2)`` on G's first leg and ``(M rho_B)^(-1/2)`` on its
+    second, renormalising after each pair, until both marginals are within
+    ``tol`` (max-entry distance) of I/d. The arithmetic is the fixed-rate loop
+    that the library's filtering runs during its probe, with no relaxation,
+    stall detection or breakdown checks. Returns the unit-trace filtered
+    matrix and the step count, or ``(None, max_iter)`` at the cap.
+    """
+    n, m = dims
+    mat = np.asarray(mat, dtype=complex)
+    w, v = np.linalg.eigh((mat + mat.conj().T) / 2.0)
+    keep = w > rank_tol * w.max()
+    g = v[:, keep] * np.sqrt(w[keep])
+    tensor = mat.reshape(n, m, n, m)
+    rho_a, rho_b = np.einsum("jmkm->jk", tensor), np.einsum("jmjn->mn", tensor)
+
+    def inv_sqrt(h):
+        w, v = np.linalg.eigh((h + h.conj().T) / 2.0)
+        return (v * (1.0 / np.sqrt(w))) @ v.conj().T
+
+    for step in range(max_iter + 1):
+        if max(np.abs(rho_a - np.eye(n) / n).max(), np.abs(rho_b - np.eye(m) / m).max()) <= tol:
+            out = g @ g.conj().T
+            out = (out + out.conj().T) / 2.0
+            return out / out.trace().real, step
+        if step == max_iter:
+            return None, max_iter
+        g_a = inv_sqrt(n * rho_a) @ g.reshape(n, -1)
+        g_b = g_a.reshape(n, m, -1).transpose(1, 0, 2).reshape(m, -1)
+        g_b = inv_sqrt(m * (g_b @ g_b.conj().T)) @ g_b
+        g_b = g_b / np.sqrt(np.vdot(g_b, g_b).real)
+        g = g_b.reshape(m, n, -1).transpose(1, 0, 2).reshape(n * m, -1)
+        g_a = g.reshape(n, -1)
+        rho_a, rho_b = g_a @ g_a.conj().T, g_b @ g_b.conj().T
+
+
 def random_hermitian(rng, dim, scale=1.0):
     z = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     return scale * (z + z.conj().T) / 2.0

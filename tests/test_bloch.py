@@ -2,24 +2,28 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qloss import (
     DensityMatrix,
     StateVector,
     bloch_decompose,
     build_example1_state,
+    classify_qubit_loss,
     correlation_svd,
     density,
     ghz,
     ky_fan_norm,
     marginals,
     normal_form,
+    observation1_family,
     partial_trace,
     reconstruct,
     tiles_state,
     w,
 )
-from qloss.bloch import _normal_form_steps
+from qloss.bloch import NF_MAX_ITER, _normal_form_steps
 from qloss.errors import NoConvergenceError, RankDeficientError
 from qloss.su_basis import generators
 
@@ -28,6 +32,7 @@ from oracles import (
     negativity_oracle,
     random_density_oracle,
     random_unitary_oracle,
+    sinkhorn_oracle,
 )
 
 BELL = density(StateVector.create([1, 0, 0, 1], (2, 2)))
@@ -162,6 +167,63 @@ def test_normal_form_iteration_count_exposed_internally():
     assert iterations > 0
     got_a, _ = marginals(filtered)
     assert np.abs(got_a.matrix - np.eye(3) / 3).max() <= 1e-9
+
+
+def _draw(seed, dims, index):
+    """The ``index``-th Gaussian 2 x n x m draw of ``default_rng(seed)``, as
+    the benchmark draws its states (one draw per shape in ``dims``)."""
+    rng = np.random.default_rng(seed)
+    for k, (n, m) in enumerate(dims):
+        amps = rng.normal(size=2 * n * m) + 1j * rng.normal(size=2 * n * m)
+        if k == index:
+            return StateVector.create(amps, (2, n, m))
+
+
+@pytest.mark.parametrize("state", [
+    _draw(5, [(12, 12)], 0),
+    _draw([4, 2], [(12, 12), (13, 13), (14, 14)], 2),
+], ids=["2x12x12_rng5", "2x14x14_rng4_2"])
+def test_relaxed_filtering_converges_where_unrelaxed_hits_the_cap(state):
+    # both need more than NF_MAX_ITER unrelaxed steps
+    report = classify_qubit_loss(state)
+    assert report.normal_form_status == "converged"
+    assert report.nf_iterations < NF_MAX_ITER
+    assert "ky_fan" in [c.name for c in report.criteria]
+
+
+def test_filtering_within_the_probe_is_the_unrelaxed_loop_bit_for_bit():
+    rho = observation1_family(3, np.sqrt(0.5), np.sqrt(0.5), 0.3)
+    filtered, steps = _normal_form_steps(rho)
+    want, want_steps = sinkhorn_oracle(rho.matrix, (3, 3))
+    assert 0 < steps == want_steps <= 8
+    assert filtered.matrix.tobytes() == want.tobytes()
+
+
+@st.composite
+def _filtering_inputs(draw):
+    """Residuals of Gaussian 2 x N x M states, 2 <= N <= M <= min(2N, 8) (a
+    larger M leaves a rank-deficient marginal), or n = 3 observation-1 states."""
+    if draw(st.booleans()):
+        p = draw(st.floats(0.0, 0.95))
+        return observation1_family(3, np.sqrt(0.5), np.sqrt(0.5), p)
+    n = draw(st.integers(2, 8))
+    m = draw(st.integers(n, min(2 * n, 8)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    amps = rng.normal(size=2 * n * m) + 1j * rng.normal(size=2 * n * m)
+    return _residual(StateVector.create(amps, (2, n, m)))
+
+
+@settings(max_examples=60, deadline=None, database=None, derandomize=True)
+@given(_filtering_inputs())
+def test_relaxed_filtering_never_needs_more_steps_than_unrelaxed(rho):
+    want, want_steps = sinkhorn_oracle(rho.matrix, rho.dims)
+    if want is None:
+        return
+    filtered, steps = _normal_form_steps(rho)
+    assert steps <= want_steps
+    got_kf = ky_fan_norm(bloch_decompose(filtered).t)
+    want_kf = ky_fan_norm(bloch_decompose(DensityMatrix.create(want, rho.dims)).t)
+    assert got_kf == pytest.approx(want_kf, abs=1e-8)
 
 
 def test_correlation_svd_zero_matrix():

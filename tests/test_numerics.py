@@ -128,6 +128,12 @@ def test_inv_sqrt_psd_support_projection():
     np.testing.assert_allclose(got, np.diag([1.0, 0.0]), atol=1e-12)
 
 
+def test_inv_sqrt_psd_power():
+    # h^(-power/2) on the support: power 2 is the pseudo-inverse
+    got = numerics.inv_sqrt_psd(np.diag([4.0, 0.25, 0.0]), power=2.0)
+    np.testing.assert_allclose(got, np.diag([0.25, 4.0, 0.0]), atol=1e-12)
+
+
 def test_inv_sqrt_psd_rejects_negative():
     with pytest.raises(NotPSDError):
         numerics.inv_sqrt_psd(np.diag([1.0, -1e-6]))
