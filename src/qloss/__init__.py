@@ -46,7 +46,7 @@ from .errors import (
     RankDeficientError,
     StateFileError,
 )
-from .numerics import eigh, inv_sqrt_psd, ky_fan_norm, sqrt_psd, svd, trace_norm
+from .numerics import eigh, inv_sqrt_psd, ky_fan_norm, sqrt_psd, trace_norm
 from .robustness import (
     Classification,
     RobustnessReport,
@@ -59,7 +59,6 @@ from .robustness import (
     ghz,
     observation1_family,
     point_seed,
-    random_density_matrix,
     random_two_qubit_mixed,
     sweep,
     tiles_state,

@@ -1,4 +1,4 @@
-"""Bloch decomposition, normal-form filtering, and correlation-matrix SVD.
+"""Bloch decomposition, normal-form filtering, and correlation-matrix singular values.
 
 A bipartite N x M density matrix decomposes over the SU(N) and SU(M)
 generator bases as
@@ -71,11 +71,10 @@ class BlochForm:
 
 @dataclass(frozen=True)
 class CorrelationSVD:
-    """SVD of the correlation matrix; rank counts singular values above tol."""
+    """Singular values of a correlation matrix; rank counts those above tol."""
 
-    u: np.ndarray
+    dims: tuple[int, int]
     tau: np.ndarray        # descending, nonnegative
-    v: np.ndarray
     rank: int
 
 
@@ -262,16 +261,14 @@ def normal_form(
 
 
 def correlation_svd(bf: BlochForm, rank_tol: float = numerics.RANK_TOL) -> CorrelationSVD:
-    """SVD of the correlation matrix with its numerical rank.
+    """Singular values of the real correlation matrix, with its numerical rank.
 
-    The rank is bounded by min(N^2-1, M^2-1); for separable states it is
-    also capped by the number of product terms (Sylvester's inequality).
+    The one decomposition of t: the Ky Fan and length-bound criteria both
+    read the result. The rank is bounded by min(N^2-1, M^2-1); for separable
+    states it is also capped by the number of product terms (Sylvester's
+    inequality).
     """
-    if bf.t.size == 0:
-        shape = bf.t.shape
-        return CorrelationSVD(
-            u=np.zeros((shape[0], 0)), tau=np.zeros(0), v=np.zeros((shape[1], 0)), rank=0)
-    u, tau, v = numerics.svd(bf.t)
+    tau = numerics.singular_values(bf.t)
     top = float(tau.max()) if tau.size else 0.0
     rank = int((tau > rank_tol * top).sum()) if top > 0 else 0
-    return CorrelationSVD(u=u, tau=tau, v=v, rank=rank)
+    return CorrelationSVD(dims=bf.dims, tau=tau, rank=rank)

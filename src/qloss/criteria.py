@@ -1,9 +1,11 @@
 """Entanglement detection tests and measures for bipartite mixed states.
 
-Two correlation-matrix tests are exposed:
+Two correlation-matrix tests are exposed. Both read the singular values tau
+of the correlation matrix from one :func:`qloss.bloch.correlation_svd`
+result, so a classification decomposes the matrix once:
 
 * the Ky Fan criterion: a normal-form N x M state with
-  ``(sum of correlation singular values)^2 > 4(N-1)(M-1)/(NM)`` is entangled;
+  ``(sum tau)^2 > 4(N-1)(M-1)/(NM)`` is entangled;
 * the singular-value length bound ``K = sqrt(N(N-1)M(M-1))/2 * sum tau <= 1``
   claimed necessary for separable normal forms.
 
@@ -24,7 +26,7 @@ from enum import Enum
 import numpy as np
 
 from . import numerics
-from .bloch import BlochForm, CorrelationSVD
+from .bloch import CorrelationSVD
 from .errors import DimensionMismatchError, QlossError
 from .states import DensityMatrix, StateVector, transpose_side
 from .su_basis import generators
@@ -66,15 +68,16 @@ def _detection(statistic: float, threshold: float) -> Verdict:
     return Verdict.DETECTED if statistic > threshold + DEADBAND else Verdict.NOT_DETECTED
 
 
-def kf_criterion(bf: BlochForm, normal_form: bool = True) -> CriterionResult:
+def kf_criterion(csvd: CorrelationSVD, normal_form: bool = True) -> CriterionResult:
     """Ky Fan norm test on the correlation matrix of a normal-form state.
 
+    The statistic is the squared sum of the singular values in ``csvd``.
     ``normal_form=False`` records that the caller skipped the filtering
     gate; the threshold is only justified for maximally mixed marginals.
     Never certifies separability.
     """
-    n, m = bf.dims
-    statistic = float(numerics.ky_fan_norm(bf.t)) ** 2
+    n, m = csvd.dims
+    statistic = float(csvd.tau.sum()) ** 2
     threshold = 4.0 * (n - 1) * (m - 1) / (n * m)
     notes = "squared Ky Fan norm of the correlation matrix"
     if not normal_form:
@@ -83,15 +86,13 @@ def kf_criterion(bf: BlochForm, normal_form: bool = True) -> CriterionResult:
                            notes=notes)
 
 
-def length_bound_criterion(
-    csvd: CorrelationSVD, dims: tuple[int, int], normal_form: bool = True
-) -> CriterionResult:
+def length_bound_criterion(csvd: CorrelationSVD, normal_form: bool = True) -> CriterionResult:
     """Rescaled singular-value sum K; K > 1 flags entanglement.
 
     Reported informationally by the classifier: the bound demonstrably
     exceeds 1 on some separable states, so it must not certify on its own.
     """
-    n, m = dims
+    n, m = csvd.dims
     scale = np.sqrt(n * (n - 1) * m * (m - 1)) / 2.0
     statistic = float(scale * csvd.tau.sum())
     notes = "rescaled correlation singular values (informational)"

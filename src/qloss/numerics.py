@@ -1,9 +1,10 @@
 """Dense complex matrix kernel used by every other module.
 
-All functions operate on ``numpy.ndarray`` values (complex128) and are pure:
+All functions operate on ``numpy.ndarray`` values (complex128, except that
+:func:`singular_values` keeps real input real) and are pure:
 inputs are never mutated, so everything here is thread-safe.
 
-Stack convention: :func:`is_hermitian`, :func:`eigh` and :func:`sqrt_psd`
+Stack convention: :func:`check_hermitian`, :func:`eigh` and :func:`sqrt_psd`
 take a single ``(d, d)`` matrix or a stack of shape ``(..., d, d)`` and apply
 to each matrix of the stack, with results stacked over the same leading axes.
 A stack of one runs exactly the arithmetic of the single-matrix call, so the
@@ -42,20 +43,6 @@ def _is_square(m: np.ndarray) -> bool:
     return m.ndim >= 2 and m.shape[-1] == m.shape[-2]
 
 
-def is_hermitian(m: np.ndarray, atol: float = HERMITIAN_ATOL):
-    """True if max |m[i,j] - conj(m[j,i])| <= atol; per member for a stack.
-
-    A single matrix gives a ``bool``, a stack a boolean array over its
-    leading axes. Anything that is not square in its last two axes is not
-    Hermitian.
-    """
-    m = np.asarray(m)
-    if not _is_square(m):
-        return False
-    ok = np.abs(m - dagger(m)).max(axis=(-2, -1)) <= atol
-    return bool(ok) if m.ndim == 2 else ok
-
-
 def check_hermitian(m: np.ndarray, atol: float = HERMITIAN_ATOL, what: str = "matrix") -> None:
     """Raise :class:`NotHermitianError` unless ``m`` is a Hermitian matrix, or
     a stack of them, at ``atol``; the message names the largest deviation."""
@@ -79,24 +66,11 @@ def eigh(h: np.ndarray, atol: float = HERMITIAN_ATOL) -> tuple[np.ndarray, np.nd
     return w, v
 
 
-def svd(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Singular value decomposition ``m = U diag(s) V†`` (economy form).
-
-    ``s`` is descending and nonnegative; ``U`` and ``V`` hold min(rows, cols)
-    orthonormal columns, ``V`` being the right singular vectors (not the
-    conjugate transpose).
-    """
-    m = np.asarray(m, dtype=complex)
-    try:
-        u, s, vh = np.linalg.svd(m, full_matrices=False)
-    except np.linalg.LinAlgError as exc:
-        raise ConvergenceFailureError(f"SVD failed to converge: {exc}") from exc
-    return u, s, vh.conj().T
-
-
 def singular_values(m: np.ndarray) -> np.ndarray:
-    """Descending singular values of ``m``."""
-    m = np.asarray(m, dtype=complex)
+    """Descending singular values of ``m``; a real matrix is decomposed as it
+    is, with no complex cast. Raises :class:`ConvergenceFailureError` if the
+    SVD does not converge."""
+    m = np.asarray(m)
     if m.size == 0:
         return np.zeros(0)
     try:
@@ -106,23 +80,12 @@ def singular_values(m: np.ndarray) -> np.ndarray:
 
 
 def trace_norm(m: np.ndarray) -> float:
-    """Sum of singular values; equals sum |eigenvalue| for Hermitian input.
-
-    Hermitian matrices go through :func:`eigh` rather than the SVD so that
-    the value stays consistent with eigenvalue-based quantities downstream.
-    """
-    m = np.asarray(m, dtype=complex)
-    if m.size == 0:
-        return 0.0
-    if is_hermitian(m):
-        w, _ = eigh(m)
-        return float(np.abs(w).sum())
+    """Sum of singular values; equals sum |eigenvalue| for Hermitian input."""
     return float(singular_values(m).sum())
 
 
 #: Sum of singular values of a matrix unfolding; for matrices this is the
-#: trace norm, the alias is kept because the detection criteria are stated
-#: in terms of it.
+#: trace norm, under the name the Ky Fan criterion is stated with.
 ky_fan_norm = trace_norm
 
 

@@ -130,10 +130,9 @@ def classify_residual(
     except RankDeficientError:
         filtered, nf_status = None, "rank_deficient"
     if filtered is not None:
-        form = bloch_decompose(filtered)
-        criteria.append(kf_criterion(form))
-        informational.append(length_bound_criterion(correlation_svd(form, rank_tol),
-                                                    filtered.dims))
+        csvd = correlation_svd(bloch_decompose(filtered), rank_tol)
+        criteria.append(kf_criterion(csvd))
+        informational.append(length_bound_criterion(csvd))
     timings["normal_form"] = (time.perf_counter() - tick) * 1e3
 
     tick = time.perf_counter()
@@ -432,13 +431,9 @@ def _random_mixed(dim: int, rng: np.random.Generator) -> np.ndarray:
     return _mixed(z, rng.dirichlet(np.ones(dim)))
 
 
-def random_density_matrix(dim: int, rng: np.random.Generator) -> DensityMatrix:
-    """Random mixed state: Haar eigenbasis, eigenvalues uniform on the simplex."""
-    return DensityMatrix.create(_random_mixed(dim, rng), (dim,))
-
-
 def random_two_qubit_mixed(rng: np.random.Generator) -> DensityMatrix:
-    """:func:`random_density_matrix` of dimension 4, as a 2 x 2 state."""
+    """Random two-qubit mixed state: Haar eigenbasis, eigenvalues uniform on
+    the simplex."""
     return DensityMatrix.create(_random_mixed(4, rng), (2, 2))
 
 

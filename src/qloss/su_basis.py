@@ -15,7 +15,7 @@ expansion come out right.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
@@ -32,6 +32,14 @@ class GeneratorBasis:
     #: descriptor per element: ("symmetric", j, k), ("antisymmetric", j, k)
     #: or ("diagonal", l) with the convention above
     labels: tuple[tuple, ...]
+    _stack: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        # one read-only stack, built once; the matrices become views of it
+        stack = np.array(self.matrices, dtype=complex)
+        stack.setflags(write=False)
+        object.__setattr__(self, "_stack", stack)
+        object.__setattr__(self, "matrices", tuple(stack))
 
     def __len__(self) -> int:
         return len(self.matrices)
@@ -43,8 +51,9 @@ class GeneratorBasis:
         return self.matrices[index]
 
     def stacked(self) -> np.ndarray:
-        """All generators as one (N^2-1, N, N) array."""
-        return np.array(self.matrices)
+        """All generators as one read-only (N^2-1, N, N) array, the same
+        object on every call."""
+        return self._stack
 
 
 @lru_cache(maxsize=None)
@@ -76,8 +85,6 @@ def generators(n: int) -> GeneratorBasis:
         m[l, l] = -float(l)
         mats.append(np.sqrt(2.0 / (l * (l + 1))) * m)
         labels.append(("diagonal", l))
-    for m in mats:
-        m.setflags(write=False)
     return GeneratorBasis(dim=n, matrices=tuple(mats), labels=tuple(labels))
 
 

@@ -87,6 +87,14 @@ def bloch_t_oracle(mat, basis_a, basis_b):
     return t
 
 
+def ky_fan_oracle(t):
+    """Squared Ky Fan norm of a real matrix from the eigenvalues of its
+    smaller Gram matrix, ``(sum sqrt(eig(t t^T)))^2``, with no SVD."""
+    t = np.asarray(t)
+    gram = t @ t.T if t.shape[0] <= t.shape[1] else t.T @ t
+    return float(np.sqrt(np.clip(np.linalg.eigvalsh(gram), 0.0, None)).sum()) ** 2
+
+
 def sinkhorn_oracle(mat, dims, tol=1e-9, max_iter=500, rank_tol=1e-10):
     """Unrelaxed operator Sinkhorn scaling of a bipartite density matrix.
 

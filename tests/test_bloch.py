@@ -24,11 +24,14 @@ from qloss import (
     w,
 )
 from qloss.bloch import NF_MAX_ITER, _normal_form_steps
+from qloss.criteria import kf_criterion
 from qloss.errors import NoConvergenceError, RankDeficientError
+from qloss.numerics import RANK_TOL
 from qloss.su_basis import generators
 
 from oracles import (
     bloch_t_oracle,
+    ky_fan_oracle,
     negativity_oracle,
     random_density_oracle,
     random_unitary_oracle,
@@ -239,14 +242,32 @@ def test_correlation_svd_bell():
     assert csvd.rank == 3
 
 
-def test_correlation_svd_reconstructs_t():
-    rng = np.random.default_rng(3)
-    rho = DensityMatrix.create(random_density_oracle(rng, 9), (3, 3))
+@st.composite
+def _correlation_inputs(draw):
+    """Residuals of Gaussian 2 x N x M states up to 2x6x6, or observation-1
+    states at n = 2 and 3."""
+    if draw(st.booleans()):
+        n = draw(st.integers(2, 3))
+        p = draw(st.floats(0.0, 0.95))
+        return observation1_family(n, np.sqrt(0.5), np.sqrt(0.5), p)
+    n, m = draw(st.integers(2, 6)), draw(st.integers(2, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    amps = rng.normal(size=2 * n * m) + 1j * rng.normal(size=2 * n * m)
+    return _residual(StateVector.create(amps, (2, n, m)))
+
+
+@settings(max_examples=60, deadline=None, database=None, derandomize=True)
+@given(_correlation_inputs())
+def test_correlation_svd_is_one_real_singular_value_pass(rho):
     form = bloch_decompose(rho)
     csvd = correlation_svd(form)
-    rebuilt = (csvd.u * csvd.tau) @ csvd.v.conj().T
-    np.testing.assert_allclose(rebuilt, form.t, atol=1e-10)
-    assert csvd.rank <= min(8, 8)
+    assert csvd.dims == rho.dims
+    assert csvd.tau.dtype == np.float64
+    assert np.array_equal(csvd.tau, np.linalg.svd(form.t, compute_uv=False))
+    for tol in (RANK_TOL, 1e-3):
+        want_rank = int((csvd.tau > tol * csvd.tau.max()).sum())
+        assert correlation_svd(form, tol).rank == want_rank
+    assert kf_criterion(csvd).statistic == pytest.approx(ky_fan_oracle(form.t), rel=1e-12)
 
 
 def test_ky_fan_norm_invariant_under_local_unitaries():

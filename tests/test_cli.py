@@ -261,3 +261,33 @@ def test_sweep_grid_syntax_error(capsys):
 
 def test_version_flag(capsys):
     assert run_cli(["--version"], capsys)[0] == 0
+
+
+def _readme_block(heading, language):
+    """The first fenced ``language`` block after ``heading`` in README.md."""
+    from pathlib import Path
+
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    after = text[text.index(heading):]
+    start = after.index(f"```{language}\n") + len(language) + 4
+    return after[start:after.index("```", start)]
+
+
+def test_readme_examples_run(tmp_path, monkeypatch, capsys):
+    import shlex
+
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "state.txt").write_text(_readme_block("### State file format", ""))
+    commands = _readme_block("## Command line", "bash").replace("\\\n", " ")
+    ran = 0
+    for line in commands.splitlines():
+        argv = shlex.split(line, comments=True)
+        if not argv:
+            continue
+        assert argv[0] == "qloss"
+        code = cli.main(argv[1:])
+        capsys.readouterr()
+        assert code in (0, 1, 2), line
+        ran += 1
+    assert ran == 6
+    exec(_readme_block("## Library sketch", "python"), {})

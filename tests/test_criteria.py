@@ -71,13 +71,13 @@ def _separable_mixture(rng, n, m, terms=4):
 
 def test_kf_maximally_mixed_not_detected():
     rho = DensityMatrix.create(np.eye(9), (3, 3))
-    result = kf_criterion(bloch_decompose(rho))
+    result = kf_criterion(correlation_svd(bloch_decompose(rho)))
     assert result.verdict is Verdict.NOT_DETECTED
     assert result.statistic == pytest.approx(0.0, abs=1e-12)
 
 
 def test_kf_bell_detected():
-    result = kf_criterion(bloch_decompose(BELL))
+    result = kf_criterion(correlation_svd(bloch_decompose(BELL)))
     assert result.statistic == pytest.approx(9.0, abs=1e-10)
     assert result.threshold == pytest.approx(1.0)
     assert result.verdict is Verdict.DETECTED
@@ -85,25 +85,26 @@ def test_kf_bell_detected():
 
 def test_kf_threshold_formula():
     rho = DensityMatrix.create(np.eye(12), (3, 4))
-    result = kf_criterion(bloch_decompose(rho))
+    result = kf_criterion(correlation_svd(bloch_decompose(rho)))
     assert result.threshold == pytest.approx(4 * 2 * 3 / 12)
 
 
 def test_kf_deadband_on_boundary():
     # the 3x3 isotropic state at its separability boundary lands exactly on
     # the threshold; the deadband must keep it NotDetected
-    result = kf_criterion(bloch_decompose(_isotropic3(0.25)))
+    result = kf_criterion(correlation_svd(bloch_decompose(_isotropic3(0.25))))
     assert result.statistic == pytest.approx(16 / 9, abs=1e-10)
     assert result.verdict is Verdict.NOT_DETECTED
 
 
 def test_kf_never_certifies():
-    result = kf_criterion(bloch_decompose(DensityMatrix.create(np.eye(4), (2, 2))))
+    rho = DensityMatrix.create(np.eye(4), (2, 2))
+    result = kf_criterion(correlation_svd(bloch_decompose(rho)))
     assert result.verdict is not Verdict.SEPARABLE
 
 
 def test_kf_override_flag_recorded():
-    result = kf_criterion(bloch_decompose(tiles_state()), normal_form=False)
+    result = kf_criterion(correlation_svd(bloch_decompose(tiles_state())), normal_form=False)
     assert "override" in result.notes
 
 
@@ -113,7 +114,8 @@ def test_kf_no_false_positives_on_filtered_separable_mixtures():
     for _ in range(500):
         rho = _separable_mixture(rng, 3, 3)
         filtered = normal_form(rho)
-        fired += kf_criterion(bloch_decompose(filtered)).verdict is Verdict.DETECTED
+        result = kf_criterion(correlation_svd(bloch_decompose(filtered)))
+        fired += result.verdict is Verdict.DETECTED
     assert fired == 0
 
 
@@ -122,13 +124,13 @@ def test_kf_no_false_positives_on_filtered_separable_mixtures():
 
 def test_length_bound_zero_correlations():
     rho = DensityMatrix.create(np.eye(9), (3, 3))
-    result = length_bound_criterion(correlation_svd(bloch_decompose(rho)), (3, 3))
+    result = length_bound_criterion(correlation_svd(bloch_decompose(rho)))
     assert result.statistic == pytest.approx(0.0, abs=1e-12)
     assert result.verdict is Verdict.NOT_DETECTED
 
 
 def test_length_bound_bell():
-    result = length_bound_criterion(correlation_svd(bloch_decompose(BELL)), (2, 2))
+    result = length_bound_criterion(correlation_svd(bloch_decompose(BELL)))
     assert result.statistic == pytest.approx(3.0, abs=1e-10)
     assert result.verdict is Verdict.DETECTED
 
@@ -137,7 +139,7 @@ def test_length_bound_fires_on_separable_state():
     # the documented false positive that keeps this criterion informational:
     # the separable isotropic boundary state scores K = 4
     rho = _isotropic3(0.25)
-    result = length_bound_criterion(correlation_svd(bloch_decompose(rho)), (3, 3))
+    result = length_bound_criterion(correlation_svd(bloch_decompose(rho)))
     assert result.statistic == pytest.approx(4.0, abs=1e-9)
     assert result.verdict is Verdict.DETECTED
     assert "informational" in result.notes

@@ -164,6 +164,28 @@ def test_ky_fan_runs_on_generic_2xNxN_input(n):
         assert np.abs(marginal.matrix - np.eye(n) / n).max() <= NF_TOL
 
 
+def test_classify_residual_decomposes_t_once(monkeypatch):
+    # Ky Fan and the length bound read one singular-value pass of t
+    import sys
+
+    calls = []
+    svd = np.linalg.svd
+
+    def counting(a, *args, **kwargs):
+        if sys._getframe(1).f_globals.get("__name__") == "qloss.numerics":
+            calls.append(np.shape(a))
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counting)
+    rng = np.random.default_rng(2)
+    state = StateVector.create(rng.normal(size=18) + 1j * rng.normal(size=18), (2, 3, 3))
+    report = classify_residual(partial_trace(density(state), keep=(1, 2)))
+    assert report.normal_form_status == "converged"
+    assert [c.name for c in report.informational] == ["length_bound"]
+    assert _criterion(report, "ky_fan") is not None
+    assert calls == [(8, 8)]
+
+
 def _count_eigensolves(monkeypatch) -> list[int]:
     """Record the matrix size of every numpy eigensolve from now on."""
     sizes = []

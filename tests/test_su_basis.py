@@ -27,6 +27,19 @@ def test_basis_axioms(n):
             assert abs(np.trace(ga @ gb).real - want) <= 1e-12
 
 
+@pytest.mark.parametrize("n", [2, 3, 14])
+def test_stacked_is_one_shared_read_only_array(n):
+    basis = generators(n)
+    stack = basis.stacked()
+    assert basis.stacked() is stack and generators(n).stacked() is stack
+    assert stack.shape == (n * n - 1, n, n) and not stack.flags.writeable
+    for index, matrix in enumerate(basis):
+        assert matrix.base is stack and not matrix.flags.writeable
+        assert np.array_equal(matrix, stack[index])
+    with pytest.raises(ValueError):
+        stack[0, 0, 0] = 1.0
+
+
 def test_su2_is_pauli():
     basis = generators(2)
     np.testing.assert_allclose(basis[0], PAULI["x"])
