@@ -31,10 +31,21 @@ from .su_basis import generators
 
 NF_TOL = 1e-9
 NF_MAX_ITER = 500
-# filtering steps run unrelaxed before the relaxation factor is chosen, and
-# that factor's ceiling
+# filtering steps run unrelaxed before the relaxation factor is chosen; the
+# factor is re-estimated every two such windows, and capped
 _PROBE_STEPS = 8
 _MAX_OMEGA = 1.9
+# a window whose per-step rate is at least this does not contract: the
+# factor is not raised, and a raised factor is backed off
+_FLAT_RATE = 0.999
+# a backed-off factor whose excess over 1 would fall below this snaps to 1
+_MIN_EXCESS = 0.05
+
+
+def _young(rate: float) -> float:
+    """Young's SOR factor 2 / (1 + sqrt(1 - rate)) for an unrelaxed per-step
+    rate, capped at ``_MAX_OMEGA``."""
+    return min(2.0 / (1.0 + np.sqrt(1.0 - rate)), _MAX_OMEGA)
 
 
 def _basis_stack(dim: int) -> np.ndarray:
@@ -134,6 +145,13 @@ def marginals(rho: DensityMatrix) -> tuple[DensityMatrix, DensityMatrix]:
     return partial_trace(rho, [0]), partial_trace(rho, [1])
 
 
+def _no_rank2_normal_form(n: int, m: int) -> bool:
+    """True when 3N/2 < M < 2N (N <= M), where :func:`normal_form`'s
+    necessary condition rules out a normal form of rank at most 2."""
+    small, large = sorted((n, m))
+    return 3 * small < 2 * large < 4 * small
+
+
 def _normal_form_steps(
     rho: DensityMatrix,
     tol: float = NF_TOL,
@@ -159,6 +177,10 @@ def _normal_form_steps(
     # rho = G G^dag with G of shape (n, m, rank); the filters act on G's legs,
     # so every iterate is PSD and no step touches an NM x NM matrix
     g = rho._gram_factor(rank_tol).reshape(n, m, -1)
+    if g.shape[2] <= 2 and _no_rank2_normal_form(n, m):
+        raise NoConvergenceError(
+            f"no normal form of rank {g.shape[2]} exists on {n} x {m}",
+            iterations=0, reason="no_normal_form")
     history = [deviation]                # deviation after each completed step
     omega = 1.0
     stalled = 0
@@ -166,13 +188,23 @@ def _normal_form_steps(
         if deviation <= tol:
             flat = g.reshape(n * m, -1)
             return DensityMatrix._trusted(flat @ flat.conj().T, (n, m)), iteration
-        if iteration >= _PROBE_STEPS and deviation >= history[iteration - _PROBE_STEPS]:
-            omega = 1.0                  # over-relaxation stopped paying: off for good
-        elif iteration == _PROBE_STEPS:
+        if iteration == _PROBE_STEPS:
             # Young's SOR rule, with the unrelaxed rate measured over the probe
             half = _PROBE_STEPS // 2
-            rate = min((deviation / history[half]) ** (1.0 / half), 1.0)
-            omega = min(2.0 / (1.0 + np.sqrt(1.0 - rate)), _MAX_OMEGA)
+            rate = (deviation / history[half]) ** (1.0 / half)
+            if rate < _FLAT_RATE:
+                omega = _young(rate)
+        elif iteration > 0 and iteration % (2 * _PROBE_STEPS) == 0:
+            # the rate mu over the last window, all of it at this omega
+            rate = (deviation / history[iteration - _PROBE_STEPS]) ** (1.0 / _PROBE_STEPS)
+            if rate >= _FLAT_RATE:
+                excess = (omega - 1.0) / 2.0
+                omega = 1.0 + excess if excess >= _MIN_EXCESS else 1.0
+            else:
+                # Young's relation mu = f(lambda, omega), solved for the
+                # unrelaxed rate lambda; omega is only ever raised here
+                unrelaxed = min((rate + omega - 1.0) ** 2 / (rate * omega ** 2), 1.0)
+                omega = max(omega, _young(unrelaxed))
         # one side per half-step, F_B taken from the state F_A left behind
         # (operator Sinkhorn scaling); applying both filters of one state at
         # once falls into a 2-cycle on rank-2 N x N residuals
@@ -185,12 +217,12 @@ def _normal_form_steps(
             # until a marginal leaves the PSD cone: a filtering breakdown
             raise NoConvergenceError(
                 f"normal-form filtering broke down numerically after {iteration} "
-                f"iterations ({exc})", iterations=iteration) from exc
+                f"iterations ({exc})", iterations=iteration, reason="breakdown") from exc
         trace = float(np.vdot(g_b, g_b).real)
         if not np.isfinite(trace) or trace <= 1e-12:
             raise NoConvergenceError(
                 f"normal-form filtering collapsed the state after {iteration} iterations",
-                iterations=iteration)
+                iterations=iteration, reason="breakdown")
         g_b = g_b / np.sqrt(trace)
         g = g_b.reshape(m, n, -1).transpose(1, 0, 2)
         g_a = g.reshape(n, -1)
@@ -204,12 +236,13 @@ def _normal_form_steps(
             raise NoConvergenceError(
                 f"normal-form filtering stalled after {iteration + 1} iterations "
                 f"(marginals frozen at deviation {deviation:.3e})",
-                iterations=iteration + 1)
+                iterations=iteration + 1, reason="stalled")
         deviation = max(
             float(np.abs(rho_a - eye_a).max()), float(np.abs(rho_b - eye_b).max()))
         history.append(deviation)
     raise NoConvergenceError(
-        f"normal form not reached within {max_iter} iterations", iterations=max_iter)
+        f"normal form not reached within {max_iter} iterations",
+        iterations=max_iter, reason="cap")
 
 
 def normal_form(
@@ -227,22 +260,36 @@ def normal_form(
     until both marginals are within ``tol`` (max-entry distance) of I/d. A
     state already within ``tol`` is returned as it is.
 
-    The relaxation factor w comes from the input. The first 8 steps are a
+    The relaxation factor w adapts as the run goes (over-relaxed Sinkhorn
+    scaling, Thibault et al., arXiv:1711.01851). The first 8 steps are a
     probe at w = 1, the plain scaling, so a state filtered within 8 steps
-    comes out exactly as without relaxation. After it, w is set by Young's
+    comes out exactly as without relaxation. At step 8, w is set by Young's
     over-relaxation rule w = 2 / (1 + sqrt(1 - r)), capped at 1.9, where r
-    is the probe's per-step contraction of the deviation over steps 4 to 8
-    (over-relaxed Sinkhorn scaling, Thibault et al., arXiv:1711.01851). As a
-    safeguard, w drops back to 1 for the rest of the run as soon as the
-    deviation is not below its value 8 steps earlier. Any w leaves the fixed
-    point (F = I exactly when the marginal is I/d) and the normal form the
-    same, and every iterate is G G^dag, so it stays PSD.
+    is the per-step contraction of the deviation over steps 4 to 8; if r is
+    0.999 or more the deviation is not contracting and w stays 1. Every 16
+    steps after that, w is re-estimated from the per-step rate mu over the
+    last 8 steps, all of them taken at the current w. If mu < 0.999, Young's
+    relation between the plain and the relaxed rates (Lehmann, von Renesse,
+    Sambale and Uschmajew, Optim. Lett. 2022) is inverted for the unrelaxed
+    rate, lambda = (mu + w - 1)^2 / (mu w^2), and w is raised to Young's
+    rule at lambda if that is larger; a probe that read the rate too early
+    is corrected this way. If mu >= 0.999, w backs off: its excess over 1
+    halves, and snaps to exactly 1 once it would fall below 0.05. Raising w
+    perturbs the deviation for a few steps, so no single step switches the
+    relaxation off. The 0.999 threshold and the snap keep frozen marginals
+    (where mu = 1) at w = 1, so the stall detector still sees them. Any w
+    leaves the fixed point (F = I exactly when the marginal is I/d) and the
+    normal form the same, and every iterate is G G^dag, so it stays PSD.
 
     Raises :class:`RankDeficientError` if a marginal is rank deficient and
-    :class:`NoConvergenceError` if the iteration stalls, breaks down or hits
-    the cap; callers may fall back to analyzing the unfiltered state (the
-    filtering cannot create or destroy entanglement, so nothing is lost
-    except the filtered-only criteria).
+    :class:`NoConvergenceError` if the iteration cannot reach the normal
+    form; its ``reason`` is ``cap``, ``stalled`` (marginals frozen above
+    ``tol`` for 30 steps), ``breakdown`` (a marginal left the PSD cone or
+    the state collapsed) or ``no_normal_form`` (the shape has none of the
+    state's rank, see below; raised before the first step). Callers may
+    fall back to analyzing the unfiltered state (the filtering cannot
+    create or destroy entanglement, so nothing is lost except the
+    filtered-only criteria).
 
     Filtering keeps the rank, and some shapes have no normal form of rank 2,
     which is the rank of every pure-state residual. Stacking the two Schmidt
@@ -250,8 +297,10 @@ def normal_form(
     gives S^dag S = I/M; the complementary projector Q of M S S^dag has rank
     2N - M and its two diagonal N x N blocks must sum to (2 - M/N) I_N,
     which needs 2(2N - M) >= N. So M <= 3N/2 or M >= 2N is necessary (not
-    sufficient): random 2x3x5, 2x4x7 and 2x6x10 residuals stall, while
-    2x2x3, 2x3x4, 2x4x6 and 2x6x9 converge. Special states fail too: W-type
+    sufficient): random 2x3x5, 2x4x7 and 2x6x10 residuals never reach the
+    tolerance, while 2x2x3, 2x3x4, 2x4x6 and 2x6x9 converge. A state of rank
+    at most 2 on a shape that breaks the condition is reported as
+    ``no_normal_form`` without filtering. Special states fail too: W-type
     residuals (an entangled pure state mixed with a product state) sit on
     the boundary, approach I/d ever more slowly and run to the cap, and the
     four-term 2x3x3 residual stalls at deviation 1/3.

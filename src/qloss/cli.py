@@ -110,6 +110,7 @@ def report_to_dict(report: RobustnessReport) -> dict:
         "normal_form": {
             "status": report.normal_form_status,
             "iterations": report.nf_iterations,
+            "stop": report.nf_stop,
         },
         "criteria": [criterion_to_dict(c) for c in report.criteria],
         "informational": [criterion_to_dict(c) for c in report.informational],

@@ -68,7 +68,7 @@ def _detection(statistic: float, threshold: float) -> Verdict:
     return Verdict.DETECTED if statistic > threshold + DEADBAND else Verdict.NOT_DETECTED
 
 
-def kf_criterion(csvd: CorrelationSVD, normal_form: bool = True) -> CriterionResult:
+def kf_criterion(csvd: CorrelationSVD, *, normal_form: bool = True) -> CriterionResult:
     """Ky Fan norm test on the correlation matrix of a normal-form state.
 
     The statistic is the squared sum of the singular values in ``csvd``.
@@ -86,7 +86,7 @@ def kf_criterion(csvd: CorrelationSVD, normal_form: bool = True) -> CriterionRes
                            notes=notes)
 
 
-def length_bound_criterion(csvd: CorrelationSVD, normal_form: bool = True) -> CriterionResult:
+def length_bound_criterion(csvd: CorrelationSVD, *, normal_form: bool = True) -> CriterionResult:
     """Rescaled singular-value sum K; K > 1 flags entanglement.
 
     Reported informationally by the classifier: the bound demonstrably

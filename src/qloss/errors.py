@@ -34,11 +34,18 @@ class RankDeficientError(QlossError):
 
 
 class NoConvergenceError(QlossError):
-    """Normal-form filtering did not reach the target within the iteration cap."""
+    """Normal-form filtering did not reach the target.
 
-    def __init__(self, message, iterations=None):
+    ``reason`` says why it stopped: ``cap`` (the iteration cap), ``stalled``
+    (marginals frozen above the tolerance), ``breakdown`` (a marginal left
+    the PSD cone or the state collapsed) or ``no_normal_form`` (the shape
+    admits no normal form of the state's rank, decided before any step).
+    """
+
+    def __init__(self, message, iterations=None, reason=None):
         super().__init__(message)
         self.iterations = iterations
+        self.reason = reason
 
 
 class KetSyntaxError(QlossError):

@@ -83,6 +83,7 @@ class RobustnessReport:
     classification: Classification
     provenance: dict
     nf_iterations: int | None = None
+    nf_stop: str | None = None              # why a diverged normal form stopped
     timings_ms: dict = field(default_factory=dict)
 
 
@@ -122,11 +123,13 @@ def classify_residual(
     tick = time.perf_counter()
     nf_status = "converged"
     nf_iterations: int | None = None
+    nf_stop: str | None = None
     try:
         filtered, nf_iterations = _normal_form_steps(
             reduced, tol=nf_tol, max_iter=nf_max_iter, rank_tol=rank_tol)
     except NoConvergenceError as exc:
-        filtered, nf_status, nf_iterations = None, "diverged", exc.iterations
+        filtered, nf_status = None, "diverged"
+        nf_iterations, nf_stop = exc.iterations, exc.reason
     except RankDeficientError:
         filtered, nf_status = None, "rank_deficient"
     if filtered is not None:
@@ -151,6 +154,7 @@ def classify_residual(
         reduced_dims=reduced.dims,
         normal_form_status=nf_status,
         nf_iterations=nf_iterations,
+        nf_stop=nf_stop,
         criteria=criteria,
         informational=informational,
         measures=measures,

@@ -95,16 +95,18 @@ def ky_fan_oracle(t):
     return float(np.sqrt(np.clip(np.linalg.eigvalsh(gram), 0.0, None)).sum()) ** 2
 
 
-def sinkhorn_oracle(mat, dims, tol=1e-9, max_iter=500, rank_tol=1e-10):
-    """Unrelaxed operator Sinkhorn scaling of a bipartite density matrix.
+def sinkhorn_oracle(mat, dims, tol=1e-9, max_iter=500, rank_tol=1e-10, omega=1.0):
+    """Operator Sinkhorn scaling of a bipartite density matrix at a fixed
+    relaxation factor ``omega``.
 
     Factors ``mat = G G^dag`` by diagonalising it, then alternates
-    ``(N rho_A)^(-1/2)`` on G's first leg and ``(M rho_B)^(-1/2)`` on its
-    second, renormalising after each pair, until both marginals are within
-    ``tol`` (max-entry distance) of I/d. The arithmetic is the fixed-rate loop
-    that the library's filtering runs during its probe, with no relaxation,
-    stall detection or breakdown checks. Returns the unit-trace filtered
-    matrix and the step count, or ``(None, max_iter)`` at the cap.
+    ``(N rho_A)^(-omega/2)`` on G's first leg and ``(M rho_B)^(-omega/2)`` on
+    its second, renormalising after each pair, until both marginals are
+    within ``tol`` (max-entry distance) of I/d. At ``omega = 1`` the
+    arithmetic is the loop that the library's filtering runs during its
+    probe; there is no schedule, stall detection or breakdown check. Returns
+    the unit-trace filtered matrix and the step count, or ``(None,
+    max_iter)`` at the cap.
     """
     n, m = dims
     mat = np.asarray(mat, dtype=complex)
@@ -116,7 +118,8 @@ def sinkhorn_oracle(mat, dims, tol=1e-9, max_iter=500, rank_tol=1e-10):
 
     def inv_sqrt(h):
         w, v = np.linalg.eigh((h + h.conj().T) / 2.0)
-        return (v * (1.0 / np.sqrt(w))) @ v.conj().T
+        inv = 1.0 / np.sqrt(w)
+        return (v * (inv if omega == 1.0 else inv ** omega)) @ v.conj().T
 
     for step in range(max_iter + 1):
         if max(np.abs(rho_a - np.eye(n) / n).max(), np.abs(rho_b - np.eye(m) / m).max()) <= tol:
@@ -132,6 +135,21 @@ def sinkhorn_oracle(mat, dims, tol=1e-9, max_iter=500, rank_tol=1e-10):
         g = g_b.reshape(m, n, -1).transpose(1, 0, 2).reshape(n * m, -1)
         g_a = g.reshape(n, -1)
         rho_a, rho_b = g_a @ g_a.conj().T, g_b @ g_b.conj().T
+
+
+def realignment_rate(sigma, dims):
+    """Asymptotic per-step rate of unrelaxed filtering near the normal form
+    ``sigma``, from its realigned matrix ``R[(i,k),(j,l)] = sigma[(i,j),(k,l)]``.
+
+    R's squared singular values, normalised by the largest, start with a run
+    of ones; the largest one below 1 is the rate (0 when there is none, as
+    for a state that one step filters exactly).
+    """
+    n, m = dims
+    r = np.asarray(sigma).reshape(n, m, n, m).transpose(0, 2, 1, 3).reshape(n * n, m * m)
+    s = np.linalg.svd(r, compute_uv=False) ** 2
+    below = s[s < s[0] * (1.0 - 1e-6)]
+    return float(below[0] / s[0]) if below.size else 0.0
 
 
 def random_hermitian(rng, dim, scale=1.0):

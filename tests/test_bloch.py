@@ -23,7 +23,8 @@ from qloss import (
     tiles_state,
     w,
 )
-from qloss.bloch import NF_MAX_ITER, _normal_form_steps
+from qloss import bloch
+from qloss.bloch import NF_MAX_ITER, NF_TOL, _normal_form_steps
 from qloss.criteria import kf_criterion
 from qloss.errors import NoConvergenceError, RankDeficientError
 from qloss.numerics import RANK_TOL
@@ -35,6 +36,7 @@ from oracles import (
     negativity_oracle,
     random_density_oracle,
     random_unitary_oracle,
+    realignment_rate,
     sinkhorn_oracle,
 )
 
@@ -162,7 +164,9 @@ def test_normal_form_reports_non_convergence():
     residual = _residual(parse_ket("|010> + |001> + |112> + |121>", (2, 3, 3)))
     with pytest.raises(NoConvergenceError) as err:
         normal_form(residual)
-    assert err.value.iterations is not None
+    # frozen marginals: the stall detector fires, the relaxation backs off
+    assert err.value.reason == "stalled"
+    assert err.value.iterations <= 40
 
 
 def test_normal_form_iteration_count_exposed_internally():
@@ -192,6 +196,41 @@ def test_relaxed_filtering_converges_where_unrelaxed_hits_the_cap(state):
     assert report.normal_form_status == "converged"
     assert report.nf_iterations < NF_MAX_ITER
     assert "ky_fan" in [c.name for c in report.criteria]
+
+
+def test_adapted_relaxation_converges_on_the_probe_misread_input():
+    # the probe reads this input's rate too low; with the relaxation factor
+    # fixed after it, the input needed 837 steps
+    report = classify_qubit_loss(_draw([9, 2], [(12, 12)], 0))
+    assert report.normal_form_status == "converged"
+    assert report.nf_iterations <= 250
+    assert "ky_fan" in [c.name for c in report.criteria]
+
+
+@pytest.mark.parametrize("index", [2, 12, 13])
+def test_shapes_without_a_rank2_normal_form_stop_before_filtering(index):
+    residual = _residual(_draw(11, [(3, 5)] * 14, index))
+    with pytest.raises(NoConvergenceError) as err:
+        _normal_form_steps(residual)
+    assert (err.value.reason, err.value.iterations) == ("no_normal_form", 0)
+
+
+@pytest.mark.parametrize("dims", [(3, 5), (4, 7)])
+def test_rank2_residuals_never_reach_a_normal_form_when_3n_2_lt_m_lt_2n(dims, monkeypatch):
+    # pins the necessary condition behind the no_normal_form shortcut: with
+    # the shortcut off, neither the plain nor the relaxed loop gets there,
+    # and the relaxed loop's back-off leaves the stall detector working
+    assert bloch._no_rank2_normal_form(*dims)
+    monkeypatch.setattr(bloch, "_no_rank2_normal_form", lambda n, m: False)
+    rng = np.random.default_rng(17)
+    n, m = dims
+    for _ in range(4):
+        amps = rng.normal(size=2 * n * m) + 1j * rng.normal(size=2 * n * m)
+        residual = _residual(StateVector.create(amps, (2, n, m)))
+        assert sinkhorn_oracle(residual.matrix, dims, tol=NF_TOL)[0] is None
+        with pytest.raises(NoConvergenceError) as err:
+            _normal_form_steps(residual, tol=NF_TOL)
+        assert err.value.reason == "stalled"
 
 
 def test_filtering_within_the_probe_is_the_unrelaxed_loop_bit_for_bit():
@@ -224,6 +263,51 @@ def test_relaxed_filtering_never_needs_more_steps_than_unrelaxed(rho):
         return
     filtered, steps = _normal_form_steps(rho)
     assert steps <= want_steps
+    got_kf = ky_fan_norm(bloch_decompose(filtered).t)
+    want_kf = ky_fan_norm(bloch_decompose(DensityMatrix.create(want, rho.dims)).t)
+    assert got_kf == pytest.approx(want_kf, abs=1e-8)
+
+
+@pytest.mark.parametrize("dims", [(2, 3), (3, 4), (4, 4), (4, 6), (6, 8), (8, 8), (12, 12)])
+def test_realignment_rate_is_the_unrelaxed_asymptotic_rate(dims):
+    # filtering 1000x further takes log(1e-3) / log(rate) more plain steps
+    n, m = dims
+    rng = np.random.default_rng(3 + n * m)
+    amps = rng.normal(size=2 * n * m) + 1j * rng.normal(size=2 * n * m)
+    rho = _residual(StateVector.create(amps, (2, n, m)))
+    sigma, steps = sinkhorn_oracle(rho.matrix, dims, max_iter=2000)
+    _, more_steps = sinkhorn_oracle(rho.matrix, dims, tol=1e-12, max_iter=2000)
+    rate = realignment_rate(sigma, dims)
+    assert 0.5 < rate < 1.0
+    assert more_steps - steps == pytest.approx(np.log(1e-3) / np.log(rate), abs=1.5)
+
+
+@st.composite
+def _normal_form_inputs(draw):
+    """Residuals of Gaussian 2 x N x M states, 2 <= N <= M <= min(2N, 8),
+    on the shapes that keep a rank-2 normal form possible."""
+    n = draw(st.integers(2, 8))
+    m = draw(st.sampled_from([
+        k for k in range(n, min(2 * n, 8) + 1) if not bloch._no_rank2_normal_form(n, k)]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    amps = rng.normal(size=2 * n * m) + 1j * rng.normal(size=2 * n * m)
+    return _residual(StateVector.create(amps, (2, n, m)))
+
+
+@settings(max_examples=40, deadline=None, database=None, derandomize=True)
+@given(_normal_form_inputs())
+def test_adapted_relaxation_stays_near_the_best_fixed_factor(rho):
+    want, _ = sinkhorn_oracle(rho.matrix, rho.dims, max_iter=2000)
+    if want is None:
+        return
+    rate = realignment_rate(want, rho.dims)
+    best = 2.0 / (1.0 + np.sqrt(1.0 - rate))
+    _, best_steps = sinkhorn_oracle(rho.matrix, rho.dims, max_iter=2000, omega=best)
+    filtered, steps = _normal_form_steps(rho)
+    # the schedule starts at w = 1 and climbs to Young's factor over a few
+    # 16-step windows, so it may take up to 3x the steps that the best fixed
+    # factor takes from the start (2.6x at worst on 340 draws), plus the probe
+    assert steps <= 3 * best_steps + 8
     got_kf = ky_fan_norm(bloch_decompose(filtered).t)
     want_kf = ky_fan_norm(bloch_decompose(DensityMatrix.create(want, rho.dims)).t)
     assert got_kf == pytest.approx(want_kf, abs=1e-8)

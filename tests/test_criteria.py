@@ -145,6 +145,16 @@ def test_length_bound_fires_on_separable_state():
     assert "informational" in result.notes
 
 
+
+@pytest.mark.parametrize("criterion", [kf_criterion, length_bound_criterion])
+def test_normal_form_flag_is_keyword_only(criterion):
+    # a call written for the old (csvd, dims) signature must not bind the
+    # dims tuple to the flag
+    csvd = correlation_svd(bloch_decompose(_isotropic3(0.25)))
+    with pytest.raises(TypeError):
+        criterion(csvd, (3, 3))
+    assert "override" in criterion(csvd, normal_form=False).notes
+
 # --- PPT / negativity ----------------------------------------------------------
 
 

@@ -139,16 +139,32 @@ def test_filtering_off_the_psd_cone_falls_back_to_ppt():
 
 @pytest.mark.parametrize("dims", [(2, 3, 5), (2, 4, 7)])
 def test_failed_filtering_keeps_its_iteration_count(dims):
-    # 3N/2 < M < 2N: no rank-2 normal form exists, so the stall detector
-    # stops the loop well before the cap
+    # 3N/2 < M < 2N: no rank-2 normal form exists, so filtering stops
+    # before its first step and says why
     rng = np.random.default_rng(11)
     size = int(np.prod(dims))
     for _ in range(3):
         amps = rng.normal(size=size) + 1j * rng.normal(size=size)
     report = classify_qubit_loss(StateVector.create(amps, dims))
     assert report.normal_form_status == "diverged"
-    assert 0 < report.nf_iterations < NF_MAX_ITER
-    assert report_to_dict(report)["normal_form"]["iterations"] == report.nf_iterations
+    assert report.nf_iterations == 0 and report.nf_stop == "no_normal_form"
+    doc = report_to_dict(report)["normal_form"]
+    assert doc == {"status": "diverged", "iterations": 0, "stop": "no_normal_form"}
+
+
+def test_filtering_at_the_cap_reports_its_stop_reason():
+    # the W residual sits on the boundary of the normal forms
+    report = classify_qubit_loss(w())
+    assert report.normal_form_status == "diverged"
+    assert (report.nf_stop, report.nf_iterations) == ("cap", NF_MAX_ITER)
+    doc = report_to_dict(report)["normal_form"]
+    assert (doc["stop"], doc["iterations"]) == ("cap", NF_MAX_ITER)
+
+
+def test_converged_filtering_has_no_stop_reason():
+    report = classify_qubit_loss(ghz())
+    assert report.normal_form_status == "converged" and report.nf_stop is None
+    assert report_to_dict(report)["normal_form"]["stop"] is None
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 12])
