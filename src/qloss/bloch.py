@@ -82,11 +82,10 @@ class BlochForm:
 
 @dataclass(frozen=True)
 class CorrelationSVD:
-    """Singular values of a correlation matrix; rank counts those above tol."""
+    """Singular values of a correlation matrix."""
 
     dims: tuple[int, int]
     tau: np.ndarray        # descending, nonnegative
-    rank: int
 
 
 def bloch_decompose(rho: DensityMatrix) -> BlochForm:
@@ -106,9 +105,9 @@ def bloch_decompose(rho: DensityMatrix) -> BlochForm:
     # t_ab = sum gl[a,k,j] tensor[j,m,k,n] gr[b,n,m], in two steps. The first
     # gathers the blocks x[k,j] = tensor[j,:,k,:]^T: an off-diagonal generator
     # has two nonzero entries, so its row is a sum of two blocks. This keeps
-    # t exactly zero on small I/d, where a dense matmul leaves ~1e-19 that
-    # correlation_svd would count as rank. With the blocks transposed, the
-    # second step is a matmul with a view of gr, not a copy.
+    # t exactly zero on small I/d, where a dense matmul leaves ~1e-19. With
+    # the blocks transposed, the second step is a matmul with a view of gr,
+    # not a copy.
     rows, cols, levels, diag = _gathers(n)
     x = tensor.transpose(2, 0, 3, 1)
     pairs = x[rows, cols]
@@ -152,6 +151,31 @@ def _no_rank2_normal_form(n: int, m: int) -> bool:
     return 3 * small < 2 * large < 4 * small
 
 
+def _three_tangle(g: np.ndarray) -> float:
+    """3-tangle of the purification sum_k |k> (x) g[:, :, k] of a rank-2
+    two-qubit state G G^dag, with G of shape (2, 2, 2): 4 |b^2 - 4ac| / Tr^2
+    for det(s g0 + t g1) = a s^2 + b st + c t^2."""
+    def det(x):
+        return x[0, 0] * x[1, 1] - x[0, 1] * x[1, 0]
+    g0, g1 = g[..., 0], g[..., 1]
+    a, c = det(g0), det(g1)
+    b = det(g0 + g1) - a - c
+    return 4.0 * abs(b * b - 4.0 * a * c) / float(np.vdot(g, g).real) ** 2
+
+
+def _no_normal_form(g: np.ndarray, rank_tol: float) -> bool:
+    """True when no normal form of the state G G^dag can be reached, with G
+    of shape (n, m, rank): rank at most 2 on a shape where
+    :func:`_no_rank2_normal_form` holds, or a rank-2 two-qubit state of the
+    W class (3-tangle at most ``rank_tol``). See :func:`normal_form`."""
+    n, m, rank = g.shape
+    if rank > 2:
+        return False
+    if _no_rank2_normal_form(n, m):
+        return True
+    return g.shape == (2, 2, 2) and _three_tangle(g) <= rank_tol
+
+
 def _normal_form_steps(
     rho: DensityMatrix,
     tol: float = NF_TOL,
@@ -177,9 +201,9 @@ def _normal_form_steps(
     # rho = G G^dag with G of shape (n, m, rank); the filters act on G's legs,
     # so every iterate is PSD and no step touches an NM x NM matrix
     g = rho._gram_factor(rank_tol).reshape(n, m, -1)
-    if g.shape[2] <= 2 and _no_rank2_normal_form(n, m):
+    if _no_normal_form(g, rank_tol):
         raise NoConvergenceError(
-            f"no normal form of rank {g.shape[2]} exists on {n} x {m}",
+            f"no normal form of rank {g.shape[2]} is reachable on {n} x {m}",
             iterations=0, reason="no_normal_form")
     history = [deviation]                # deviation after each completed step
     omega = 1.0
@@ -286,10 +310,10 @@ def normal_form(
     form; its ``reason`` is ``cap``, ``stalled`` (marginals frozen above
     ``tol`` for 30 steps), ``breakdown`` (a marginal left the PSD cone or
     the state collapsed) or ``no_normal_form`` (the shape has none of the
-    state's rank, see below; raised before the first step). Callers may
-    fall back to analyzing the unfiltered state (the filtering cannot
-    create or destroy entanglement, so nothing is lost except the
-    filtered-only criteria).
+    state's rank, or the state is a W-class two-qubit state, see below;
+    raised before the first step). Callers may fall back to analyzing the
+    unfiltered state (the filtering cannot create or destroy entanglement,
+    so nothing is lost except the filtered-only criteria).
 
     Filtering keeps the rank, and some shapes have no normal form of rank 2,
     which is the rank of every pure-state residual. Stacking the two Schmidt
@@ -300,24 +324,31 @@ def normal_form(
     sufficient): random 2x3x5, 2x4x7 and 2x6x10 residuals never reach the
     tolerance, while 2x2x3, 2x3x4, 2x4x6 and 2x6x9 converge. A state of rank
     at most 2 on a shape that breaks the condition is reported as
-    ``no_normal_form`` without filtering. Special states fail too: W-type
-    residuals (an entangled pure state mixed with a product state) sit on
-    the boundary, approach I/d ever more slowly and run to the cap, and the
+    ``no_normal_form`` without filtering.
+
+    Special states fail too. A rank-2 two-qubit state G G^dag is W-class
+    when its purification sum_k |k> (x) g_k has zero 3-tangle 4 |b^2 - 4ac|
+    (Coffman, Kundu and Wootters, PRA 61, 052306), where det(s g_0 + t g_1)
+    = a s^2 + b st + c t^2; the value is invariant under local unitaries and
+    under unitary mixing of the columns g_k. Such a state has no normal form
+    that finite filters reach (Verstraete, Dehaene and De Moor, PRA 68,
+    012103): a rank-2 two-qubit normal form is Bell-diagonal, and the span
+    of any two Bell states holds exactly two product vectors, while a
+    W-class range (a double root of the pencil) holds exactly one, and
+    invertible filters preserve that count. A rank-2 two-qubit state with a
+    3-tangle at most ``rank_tol`` is reported as ``no_normal_form`` without
+    filtering; states just above it approach I/d ever more slowly and run to
+    the cap (W + eps|111> does up to a 3-tangle of about 6e-4). The
     four-term 2x3x3 residual stalls at deviation 1/3.
     """
     filtered, _ = _normal_form_steps(rho, tol=tol, max_iter=max_iter, rank_tol=rank_tol)
     return filtered
 
 
-def correlation_svd(bf: BlochForm, rank_tol: float = numerics.RANK_TOL) -> CorrelationSVD:
-    """Singular values of the real correlation matrix, with its numerical rank.
+def correlation_svd(bf: BlochForm) -> CorrelationSVD:
+    """Singular values of the real correlation matrix.
 
     The one decomposition of t: the Ky Fan and length-bound criteria both
-    read the result. The rank is bounded by min(N^2-1, M^2-1); for separable
-    states it is also capped by the number of product terms (Sylvester's
-    inequality).
+    read the result.
     """
-    tau = numerics.singular_values(bf.t)
-    top = float(tau.max()) if tau.size else 0.0
-    rank = int((tau > rank_tol * top).sum()) if top > 0 else 0
-    return CorrelationSVD(dims=bf.dims, tau=tau, rank=rank)
+    return CorrelationSVD(dims=bf.dims, tau=numerics.singular_values(bf.t))

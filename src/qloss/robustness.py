@@ -133,7 +133,7 @@ def classify_residual(
     except RankDeficientError:
         filtered, nf_status = None, "rank_deficient"
     if filtered is not None:
-        csvd = correlation_svd(bloch_decompose(filtered), rank_tol)
+        csvd = correlation_svd(bloch_decompose(filtered))
         criteria.append(kf_criterion(csvd))
         informational.append(length_bound_criterion(csvd))
     timings["normal_form"] = (time.perf_counter() - tick) * 1e3

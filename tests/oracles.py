@@ -152,6 +152,24 @@ def realignment_rate(sigma, dims):
     return float(below[0] / s[0]) if below.size else 0.0
 
 
+def three_tangle(amps):
+    """3-tangle 4 |Det| of a three-qubit state from Cayley's hyperdeterminant
+    of its 8 amplitudes a[ijk] (Coffman, Kundu, Wootters, PRA 61, 052306)."""
+    a = np.asarray(amps, dtype=complex).reshape(2, 2, 2)
+    a = a / np.linalg.norm(a)
+    det = (a[0, 0, 0] ** 2 * a[1, 1, 1] ** 2 + a[0, 0, 1] ** 2 * a[1, 1, 0] ** 2
+           + a[0, 1, 0] ** 2 * a[1, 0, 1] ** 2 + a[1, 0, 0] ** 2 * a[0, 1, 1] ** 2
+           - 2 * (a[0, 0, 0] * a[1, 1, 1] * a[0, 0, 1] * a[1, 1, 0]
+                  + a[0, 0, 0] * a[1, 1, 1] * a[0, 1, 0] * a[1, 0, 1]
+                  + a[0, 0, 0] * a[1, 1, 1] * a[1, 0, 0] * a[0, 1, 1]
+                  + a[0, 0, 1] * a[1, 1, 0] * a[0, 1, 0] * a[1, 0, 1]
+                  + a[0, 0, 1] * a[1, 1, 0] * a[1, 0, 0] * a[0, 1, 1]
+                  + a[0, 1, 0] * a[1, 0, 1] * a[1, 0, 0] * a[0, 1, 1])
+           + 4 * (a[0, 0, 0] * a[0, 1, 1] * a[1, 0, 1] * a[1, 1, 0]
+                  + a[1, 1, 1] * a[1, 0, 0] * a[0, 1, 0] * a[0, 0, 1]))
+    return float(4 * abs(det))
+
+
 def random_hermitian(rng, dim, scale=1.0):
     z = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     return scale * (z + z.conj().T) / 2.0

@@ -1,8 +1,10 @@
 """Bloch decomposition, reconstruction, normal form, correlation SVD."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qloss import (
@@ -38,6 +40,7 @@ from oracles import (
     random_unitary_oracle,
     realignment_rate,
     sinkhorn_oracle,
+    three_tangle,
 )
 
 BELL = density(StateVector.create([1, 0, 0, 1], (2, 2)))
@@ -313,17 +316,65 @@ def test_adapted_relaxation_stays_near_the_best_fixed_factor(rho):
     assert got_kf == pytest.approx(want_kf, abs=1e-8)
 
 
+def _w_plus(eps):
+    amps = w().amplitudes.copy()
+    amps[7] += eps
+    return StateVector.create(amps, (2, 2, 2))
+
+
+@st.composite
+def _three_qubit_states(draw):
+    """Gaussian 2x2x2 states, W and GHZ under random local unitaries, or
+    W + eps|111>."""
+    kind = draw(st.sampled_from(["gaussian", "w", "ghz", "w_plus"]))
+    if kind == "w_plus":
+        return _w_plus(draw(st.sampled_from([0.0, 1e-12, 1e-8, 1e-4, 1e-2])))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if kind == "gaussian":
+        return StateVector.create(rng.normal(size=8) + 1j * rng.normal(size=8), (2, 2, 2))
+    u = [random_unitary_oracle(rng, 2) for _ in range(3)]
+    amps = np.kron(u[0], np.kron(u[1], u[2])) @ (w() if kind == "w" else ghz()).amplitudes
+    return StateVector.create(amps, (2, 2, 2))
+
+
+def _stop(rho):
+    """(iterations, stop reason) of filtering ``rho``; the reason is None on
+    convergence."""
+    try:
+        return _normal_form_steps(rho)[1], None
+    except NoConvergenceError as exc:
+        return exc.iterations, exc.reason
+
+
+@settings(max_examples=40, deadline=None, database=None, derandomize=True)
+@given(_three_qubit_states())
+@example(_w_plus(0.0))
+@example(_w_plus(1e-12))
+@example(_w_plus(1e-8))
+@example(_w_plus(1e-4))
+@example(_w_plus(1e-2))
+def test_w_class_shortcut_fires_iff_the_three_tangle_vanishes(state):
+    # the oracle reads the 8 amplitudes, not the residual's Gram factor
+    residual = _residual(state)
+    fires = three_tangle(state.amplitudes) <= RANK_TOL
+    with mock.patch.object(bloch, "_no_normal_form", lambda g, rank_tol: False):
+        off = _stop(residual)
+    if fires:
+        assert _stop(residual) == (0, "no_normal_form")
+        assert off == (NF_MAX_ITER, "cap")
+    else:
+        assert _stop(residual) == off
+
+
 def test_correlation_svd_zero_matrix():
     rho = DensityMatrix.create(np.eye(9), (3, 3))
     csvd = correlation_svd(bloch_decompose(rho))
-    assert csvd.rank == 0
     assert csvd.tau.sum() == pytest.approx(0.0, abs=1e-12)
 
 
 def test_correlation_svd_bell():
     csvd = correlation_svd(bloch_decompose(BELL))
     np.testing.assert_allclose(csvd.tau, [1.0, 1.0, 1.0], atol=1e-12)
-    assert csvd.rank == 3
 
 
 @st.composite
@@ -348,9 +399,6 @@ def test_correlation_svd_is_one_real_singular_value_pass(rho):
     assert csvd.dims == rho.dims
     assert csvd.tau.dtype == np.float64
     assert np.array_equal(csvd.tau, np.linalg.svd(form.t, compute_uv=False))
-    for tol in (RANK_TOL, 1e-3):
-        want_rank = int((csvd.tau > tol * csvd.tau.max()).sum())
-        assert correlation_svd(form, tol).rank == want_rank
     assert kf_criterion(csvd).statistic == pytest.approx(ky_fan_oracle(form.t), rel=1e-12)
 
 

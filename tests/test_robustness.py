@@ -27,6 +27,7 @@ from qloss import (
     w,
     wootters_concurrence,
 )
+from qloss import bloch
 from qloss.bloch import NF_MAX_ITER, NF_TOL
 from qloss.cli import report_to_dict
 from qloss.errors import DegenerateFamilyError, InvalidParamsError, NotPSDError
@@ -153,12 +154,54 @@ def test_failed_filtering_keeps_its_iteration_count(dims):
 
 
 def test_filtering_at_the_cap_reports_its_stop_reason():
-    # the W residual sits on the boundary of the normal forms
-    report = classify_qubit_loss(w())
+    # W + 1e-6|111> has 3-tangle ~3e-6: above the W-class test, but so close
+    # to the boundary of the normal forms that filtering runs to the cap
+    amps = w().amplitudes.copy()
+    amps[7] += 1e-6
+    report = classify_qubit_loss(StateVector.create(amps, (2, 2, 2)))
     assert report.normal_form_status == "diverged"
     assert (report.nf_stop, report.nf_iterations) == ("cap", NF_MAX_ITER)
     doc = report_to_dict(report)["normal_form"]
     assert (doc["stop"], doc["iterations"]) == ("cap", NF_MAX_ITER)
+
+
+def _w_class_residuals():
+    rng = np.random.default_rng(12)
+    states = [w()]
+    for n, m in [(2, 3), (3, 3), (3, 4)]:
+        beta = rng.uniform(0.5, 1.5, 3) * np.exp(2j * np.pi * rng.uniform(size=3))
+        states.append(example3_family(n, m, beta))
+    # p|psi><psi| + (1-p)|11><11| with <00|psi> = 0: the pencil
+    # det(s psi + t |11>) = s^2 det(psi) has a double root
+    psi = np.array([0.0, np.cos(0.4), np.sin(0.4), 0.0])
+    p = 0.7
+    mix = p * np.outer(psi, psi) + (1 - p) * np.diag([0.0, 0.0, 0.0, 1.0])
+    return states + [DensityMatrix.create(mix, (2, 2))]
+
+
+def _classify_any(state):
+    if isinstance(state, DensityMatrix):
+        return classify_residual(state)
+    return classify_qubit_loss(state)
+
+
+@pytest.mark.parametrize("state", _w_class_residuals(),
+                         ids=["w", "example3_2x3", "example3_3x3", "example3_3x4", "density"])
+def test_w_class_residuals_stop_before_filtering(state, monkeypatch):
+    # a rank-2 two-qubit residual with zero 3-tangle has no normal form
+    # reachable by filtering: the shortcut reports it at step 0, where the
+    # loop would run to the cap, and nothing else in the report moves
+    report = _classify_any(state)
+    assert report.reduced_dims == (2, 2)
+    assert report.normal_form_status == "diverged"
+    assert (report.nf_iterations, report.nf_stop) == (0, "no_normal_form")
+    monkeypatch.setattr(bloch, "_no_normal_form", lambda g, rank_tol: False)
+    filtered = _classify_any(state)
+    assert (filtered.nf_iterations, filtered.nf_stop) == (NF_MAX_ITER, "cap")
+    assert report.classification is filtered.classification is Classification.ROBUST
+    for name in ("negativity", "concurrence"):
+        assert _measure(report, name) == _measure(filtered, name)
+    assert report.criteria == filtered.criteria
 
 
 def test_converged_filtering_has_no_stop_reason():
