@@ -10,7 +10,6 @@ from .bloch import (
     CorrelationSVD,
     bloch_decompose,
     correlation_svd,
-    marginals,
     normal_form,
     reconstruct,
 )
@@ -69,7 +68,6 @@ from .states import (
     DimSpec,
     StateFile,
     StateVector,
-    SupportReduction,
     as_tripartite,
     density,
     parse_ket,

@@ -26,7 +26,7 @@ from .errors import (
     NotPSDError,
     RankDeficientError,
 )
-from .states import DensityMatrix, partial_trace
+from .states import DensityMatrix
 from .su_basis import generators
 
 NF_TOL = 1e-9
@@ -137,13 +137,6 @@ def reconstruct(bf: BlochForm) -> np.ndarray:
     return rho
 
 
-def marginals(rho: DensityMatrix) -> tuple[DensityMatrix, DensityMatrix]:
-    """Both reduced one-party states of a bipartite density matrix."""
-    if len(rho.dims) != 2:
-        raise DimensionMismatchError(f"marginals need bipartite dims, got {rho.dims}")
-    return partial_trace(rho, [0]), partial_trace(rho, [1])
-
-
 def _no_rank2_normal_form(n: int, m: int) -> bool:
     """True when 3N/2 < M < 2N (N <= M), where :func:`normal_form`'s
     necessary condition rules out a normal form of rank at most 2."""
@@ -190,7 +183,7 @@ def _normal_form_steps(
     rho_a, rho_b = np.einsum("jmkm->jk", tensor), np.einsum("jmjn->mn", tensor)
     for side, dim in ((rho_a, n), (rho_b, m)):
         w = np.linalg.eigvalsh((side + side.conj().T) / 2.0)
-        if int((w > rank_tol * float(w.max())).sum()) < dim:
+        if int(numerics.support(w, rank_tol).sum()) < dim:
             raise RankDeficientError(
                 f"marginal of dimension {dim} is rank deficient; reduce the support first")
     eye_a = np.eye(n) / n

@@ -24,7 +24,7 @@ import time
 import numpy as np
 
 from . import numerics
-from .bloch import NF_MAX_ITER, NF_TOL
+from .bloch import NF_TOL
 from .criteria import CriterionResult, MeasureValue, RoofBudget
 from .errors import InvalidParamsError, QlossError
 from .robustness import (
@@ -156,10 +156,9 @@ def _parse_grid(text: str) -> list[float]:
 
 
 def _roof_budget(args) -> RoofBudget | None:
-    budget = getattr(args, "budget", 0) or 0
-    if budget <= 0:
+    if args.budget <= 0:
         return None
-    return RoofBudget(restarts=8, iterations=int(budget), seed=getattr(args, "seed", 0))
+    return RoofBudget(restarts=8, iterations=args.budget, seed=args.seed)
 
 
 def _classify_options(args) -> dict:
@@ -400,8 +399,8 @@ def build_parser() -> _Parser:
 
     fig1 = sub.add_parser("fig1", help="concurrence/negativity scatter for random states")
     fig1.add_argument("--samples", type=int, default=1000)
+    fig1.add_argument("--seed", type=int, default=0, help="random seed")
     fig1.add_argument("--out", help="output CSV path (default: stdout)")
-    add_common(fig1)
     fig1.set_defaults(func=_cmd_fig1)
 
     gens = sub.add_parser("generators", help="dump the SU(N) generator basis as JSON")

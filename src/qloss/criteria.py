@@ -68,25 +68,21 @@ def _detection(statistic: float, threshold: float) -> Verdict:
     return Verdict.DETECTED if statistic > threshold + DEADBAND else Verdict.NOT_DETECTED
 
 
-def kf_criterion(csvd: CorrelationSVD, *, normal_form: bool = True) -> CriterionResult:
+def kf_criterion(csvd: CorrelationSVD) -> CriterionResult:
     """Ky Fan norm test on the correlation matrix of a normal-form state.
 
-    The statistic is the squared sum of the singular values in ``csvd``.
-    ``normal_form=False`` records that the caller skipped the filtering
-    gate; the threshold is only justified for maximally mixed marginals.
-    Never certifies separability.
+    The statistic is the squared sum of the singular values in ``csvd``;
+    the threshold is only justified for maximally mixed marginals. Never
+    certifies separability.
     """
     n, m = csvd.dims
     statistic = float(csvd.tau.sum()) ** 2
     threshold = 4.0 * (n - 1) * (m - 1) / (n * m)
-    notes = "squared Ky Fan norm of the correlation matrix"
-    if not normal_form:
-        notes += "; applied without normal-form gating (caller override)"
     return CriterionResult("ky_fan", statistic, threshold, _detection(statistic, threshold),
-                           notes=notes)
+                           notes="squared Ky Fan norm of the correlation matrix")
 
 
-def length_bound_criterion(csvd: CorrelationSVD, *, normal_form: bool = True) -> CriterionResult:
+def length_bound_criterion(csvd: CorrelationSVD) -> CriterionResult:
     """Rescaled singular-value sum K; K > 1 flags entanglement.
 
     Reported informationally by the classifier: the bound demonstrably
@@ -95,11 +91,8 @@ def length_bound_criterion(csvd: CorrelationSVD, *, normal_form: bool = True) ->
     n, m = csvd.dims
     scale = np.sqrt(n * (n - 1) * m * (m - 1)) / 2.0
     statistic = float(scale * csvd.tau.sum())
-    notes = "rescaled correlation singular values (informational)"
-    if not normal_form:
-        notes += "; applied without normal-form gating (caller override)"
-    return CriterionResult("length_bound", statistic, 1.0,
-                           _detection(statistic, 1.0), notes=notes)
+    return CriterionResult("length_bound", statistic, 1.0, _detection(statistic, 1.0),
+                           notes="rescaled correlation singular values (informational)")
 
 
 def ppt_negativity(rho: DensityMatrix) -> tuple[CriterionResult, MeasureValue]:
@@ -177,7 +170,6 @@ def stacked_wootters(mats: np.ndarray) -> np.ndarray:
 class RoofBudget:
     """Search budget for the convex-roof upper bound."""
 
-    ensemble_size: int | None = None    # default: rank + 2
     restarts: int = 32
     iterations: int = 500
     seed: int = 0
@@ -204,25 +196,24 @@ def _orthonormal_columns(x: np.ndarray) -> np.ndarray:
 def concurrence_roof(rho: DensityMatrix, budget: RoofBudget | None = None) -> MeasureValue:
     """Convex-roof upper bound on the concurrence of a bipartite mixed state.
 
-    Ensembles {p_j, psi_j} are generated by isometry mixing of the
-    eigendecomposition (every size-K decomposition of rho arises this way),
-    and the average pure-state concurrence is minimized by a seeded
-    multi-start random local search. The result is an upper bound on the
-    convex-roof infimum; no convergence claim is made. Seed and budget are
-    recorded in the output notes for reproducibility.
+    Ensembles {p_j, psi_j} of size K = rank + 2 are generated by isometry
+    mixing of the eigendecomposition (every size-K decomposition of rho
+    arises this way), and the average pure-state concurrence is minimized
+    by a seeded multi-start random local search. The result is an upper
+    bound on the convex-roof infimum; no convergence claim is made. Seed and
+    budget are recorded in the output notes for reproducibility.
     """
     if len(rho.dims) != 2:
         raise DimensionMismatchError(f"concurrence needs bipartite dims, got {rho.dims}")
     budget = budget or RoofBudget()
     n, m = rho.dims
     w, v = numerics.eigh(rho.matrix)
-    keep = w > numerics.RANK_TOL * float(w.max())
+    keep = numerics.support(w)
     lam = w[keep]
     vecs = v[:, keep]
     rank = int(lam.size)
     sub = vecs * np.sqrt(lam)                       # columns are subnormalized
-    size = budget.ensemble_size or (rank + 2)
-    size = max(size, rank)
+    size = rank + 2
 
     def cost(mix: np.ndarray) -> float:
         members = sub @ mix.T                       # one unnormalized state per column

@@ -98,6 +98,13 @@ def check_psd(w: np.ndarray, atol: float = PSD_ATOL, what: str = "matrix") -> No
         raise NotPSDError(f"{what} has negative eigenvalue {lowest:.3e}")
 
 
+def support(w: np.ndarray, rank_tol: float = RANK_TOL) -> np.ndarray:
+    """The numerical rank rule: True for each eigenvalue in ``w`` above
+    ``rank_tol`` times the largest along the last axis. A spectrum whose
+    largest eigenvalue is not positive, or that is empty, keeps nothing."""
+    return w > rank_tol * w.max(axis=-1, keepdims=True, initial=0.0)
+
+
 def _psd_spectrum(h: np.ndarray, atol: float = PSD_ATOL) -> tuple[np.ndarray, np.ndarray]:
     w, v = eigh(h, atol=max(HERMITIAN_ATOL, atol))
     check_psd(w, atol)
@@ -106,11 +113,10 @@ def _psd_spectrum(h: np.ndarray, atol: float = PSD_ATOL) -> tuple[np.ndarray, np
 
 def sqrt_psd(h: np.ndarray, rank_tol: float = RANK_TOL) -> np.ndarray:
     """Principal square root of a PSD matrix, or of each matrix of a stack
-    (support only: eigenvalues below ``rank_tol`` times the member's largest
-    are dropped)."""
+    (on each member's :func:`support` only: the other eigenvalues are
+    dropped)."""
     w, v = _psd_spectrum(h)
-    wmax = np.maximum(w.max(axis=-1, keepdims=True), 0.0)
-    root = np.where(w > rank_tol * wmax, np.sqrt(np.clip(w, 0.0, None)), 0.0)
+    root = np.where(support(w, rank_tol), np.sqrt(np.clip(w, 0.0, None)), 0.0)
     return (v * root[..., None, :]) @ dagger(v)
 
 
@@ -118,14 +124,13 @@ def inv_sqrt_psd(h: np.ndarray, rank_tol: float = RANK_TOL, power: float = 1.0) 
     """Pseudo-inverse square root of a PSD matrix on its support, raised to
     ``power``: ``h^(-power/2)``.
 
-    Eigenvalues below ``rank_tol * max(eigenvalue)`` are treated as zero and
-    projected out (their inverse contribution is 0). Raises
+    Eigenvalues off the :func:`support` are treated as zero and projected
+    out (their inverse contribution is 0). Raises
     :class:`NotPSDError` if an eigenvalue is below -1e-10. The power is taken
     of ``1/sqrt(w)``, so ``power=1`` is the plain inverse square root bit for bit.
     """
     w, v = _psd_spectrum(h)
-    wmax = float(w.max()) if w.size else 0.0
-    keep = w > rank_tol * max(wmax, 0.0)
+    keep = support(w, rank_tol)
     inv = np.zeros_like(w)
     inv[keep] = (1.0 / np.sqrt(w[keep])) ** power
     return (v * inv) @ v.conj().T

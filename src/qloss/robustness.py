@@ -20,6 +20,7 @@ separability in general dimensions.
 
 from __future__ import annotations
 
+import itertools
 import time
 from dataclasses import dataclass, field
 from enum import Enum
@@ -100,7 +101,6 @@ def classify_residual(
     *,
     rank_tol: float = numerics.RANK_TOL,
     nf_tol: float = NF_TOL,
-    nf_max_iter: int = NF_MAX_ITER,
     roof_budget: RoofBudget | None = None,
     seed: int = 0,
     input_info: dict | None = None,
@@ -110,7 +110,7 @@ def classify_residual(
     start = time.perf_counter()
 
     tick = time.perf_counter()
-    reduced, record = reduce_support(rho, rank_tol)
+    reduced = reduce_support(rho, rank_tol)
     timings["reduce"] = (time.perf_counter() - tick) * 1e3
 
     tick = time.perf_counter()
@@ -125,8 +125,7 @@ def classify_residual(
     nf_iterations: int | None = None
     nf_stop: str | None = None
     try:
-        filtered, nf_iterations = _normal_form_steps(
-            reduced, tol=nf_tol, max_iter=nf_max_iter, rank_tol=rank_tol)
+        filtered, nf_iterations = _normal_form_steps(reduced, tol=nf_tol, rank_tol=rank_tol)
     except NoConvergenceError as exc:
         filtered, nf_status = None, "diverged"
         nf_iterations, nf_stop = exc.iterations, exc.reason
@@ -164,9 +163,9 @@ def classify_residual(
             "seed": seed,
             "rank_tol": rank_tol,
             "nf_tol": nf_tol,
-            "nf_max_iter": nf_max_iter,
+            "nf_max_iter": NF_MAX_ITER,
             "detection_deadband": DEADBAND,
-            "support_reduced": record.reduced,
+            "support_reduced": reduced.dims != rho.dims,
         },
         timings_ms=timings,
     )
@@ -191,7 +190,6 @@ def classify_qubit_loss(
     *,
     rank_tol: float = numerics.RANK_TOL,
     nf_tol: float = NF_TOL,
-    nf_max_iter: int = NF_MAX_ITER,
     roof_budget: RoofBudget | None = None,
     seed: int = 0,
 ) -> RobustnessReport:
@@ -211,8 +209,8 @@ def classify_qubit_loss(
         "swapped": spec.swapped,
     }
     report = classify_residual(
-        rho, rank_tol=rank_tol, nf_tol=nf_tol, nf_max_iter=nf_max_iter,
-        roof_budget=roof_budget, seed=seed, input_info=info)
+        rho, rank_tol=rank_tol, nf_tol=nf_tol, roof_budget=roof_budget, seed=seed,
+        input_info=info)
     report.timings_ms["partial_trace"] = trace_ms
     report.timings_ms["total"] += trace_ms
     return report
@@ -387,20 +385,10 @@ def sweep(
     builder = SWEEP_FAMILIES[family]
     if not grid:
         return []
-    names = list(grid.keys())
-    axes = [list(grid[name]) for name in names]
-    counts = [len(axis) for axis in axes]
-    if any(c == 0 for c in counts):
-        return []
     results: list[SweepPoint] = []
-    for index in range(int(np.prod(counts))):
-        residue = index
-        chosen = {}
-        for name, axis in zip(reversed(names), reversed(axes)):
-            chosen[name] = axis[residue % len(axis)]
-            residue //= len(axis)
+    for index, values in enumerate(itertools.product(*grid.values())):
         params = dict(fixed or {})
-        params.update({name: chosen[name] for name in names})
+        params.update(zip(grid, values))
         try:
             report = builder(params, seed=seed, **classify_kw)
             report.provenance["sub_seed"] = [int(seed), index]

@@ -108,11 +108,11 @@ class DensityMatrix:
         object.__setattr__(self, "matrix", mat)
 
     @classmethod
-    def create(cls, matrix, dims, atol: float = numerics.HERMITIAN_ATOL) -> "DensityMatrix":
+    def create(cls, matrix, dims) -> "DensityMatrix":
         """Symmetrize, renormalize the trace, validate, and wrap."""
         rho = object.__new__(cls)
         vars(rho)["_symmetrized"] = True
-        rho.__init__(tuple(int(d) for d in dims), normalize_density(matrix, atol))
+        rho.__init__(tuple(int(d) for d in dims), normalize_density(matrix))
         return rho
 
     @classmethod
@@ -127,22 +127,23 @@ class DensityMatrix:
 
     def _gram_factor(self, rank_tol: float = numerics.RANK_TOL) -> np.ndarray:
         """F with ``matrix`` proportional to F F^dag and one orthogonal column per
-        eigenvalue above ``rank_tol`` times the largest, ascending. A kept factor G
+        eigenvalue on the :func:`numerics.support`, ascending. A kept factor G
         is orthogonalised through G^dag G, else ``matrix`` is diagonalised."""
         g = self._factor
         w, v = numerics.eigh(self.matrix if g is None else g.conj().T @ g)
-        keep = w > rank_tol * float(w.max())
+        keep = numerics.support(w, rank_tol)
         return v[:, keep] * np.sqrt(w[keep]) if g is None else g @ v[:, keep]
 
 
-def normalize_density(matrix, atol: float = numerics.HERMITIAN_ATOL) -> np.ndarray:
+def normalize_density(matrix) -> np.ndarray:
     """Symmetrize a matrix, or each matrix of a stack, and scale it to unit trace.
 
     Raises :class:`NotHermitianError` if a member is not Hermitian at
-    ``atol`` and :class:`InvalidParamsError` if a member has zero trace.
+    ``numerics.HERMITIAN_ATOL`` and :class:`InvalidParamsError` if a member
+    has zero trace.
     """
     mat = np.asarray(matrix, dtype=complex)
-    numerics.check_hermitian(mat, atol)
+    numerics.check_hermitian(mat)
     return _unit_trace(mat)
 
 
@@ -247,29 +248,16 @@ def transpose_side(mats: np.ndarray, dims: tuple[int, int], subsystem: int) -> n
     return out.reshape(mats.shape).copy()
 
 
-@dataclass(frozen=True)
-class SupportReduction:
-    """Record of the local rotation + projection applied by reduce_support."""
-
-    u_a: np.ndarray
-    u_b: np.ndarray
-    dims_before: tuple[int, int]
-    dims_after: tuple[int, int]
-    reduced: bool = False
-
-
-def reduce_support(
-    rho: DensityMatrix, rank_tol: float = numerics.RANK_TOL
-) -> tuple[DensityMatrix, SupportReduction]:
+def reduce_support(rho: DensityMatrix, rank_tol: float = numerics.RANK_TOL) -> DensityMatrix:
     """Project a bipartite state onto the support of its marginals.
 
     Each marginal is diagonalized with eigenvalues descending so the support
     occupies the leading indices, and the state is compressed to the n x m
     support block. This is a local-unitary rotation followed by a projection
     onto a subspace containing the whole state, so entanglement (and in
-    particular negativity) is unchanged. Full-rank input is returned as-is
-    with an identity record. Degenerate marginal eigenvalues only permute
-    vectors inside the support subspace, which the compression is blind to.
+    particular negativity) is unchanged. Full-rank input is returned
+    unchanged. Degenerate marginal eigenvalues only permute vectors inside
+    the support subspace, which the compression is blind to.
     """
     if len(rho.dims) != 2:
         raise DimensionMismatchError(f"support reduction needs bipartite dims, got {rho.dims}")
@@ -279,22 +267,15 @@ def reduce_support(
     ranks = []
     for marginal in (np.einsum("jmkm->jk", tensor), np.einsum("jmjn->mn", tensor)):
         w, v = numerics.eigh(marginal)
-        w, v = w[::-1], v[:, ::-1]
-        basis.append(v)
-        ranks.append(int((w > rank_tol * float(w.max())).sum()))
+        basis.append(v[:, ::-1])
+        ranks.append(int(numerics.support(w, rank_tol).sum()))
     n, m = ranks
     if (n, m) == (big_n, big_m):
-        record = SupportReduction(
-            u_a=np.eye(big_n, dtype=complex), u_b=np.eye(big_m, dtype=complex),
-            dims_before=(big_n, big_m), dims_after=(big_n, big_m), reduced=False)
-        return rho, record
+        return rho
     iso = np.kron(basis[0][:, :n], basis[1][:, :m])
-    record = SupportReduction(
-        u_a=basis[0], u_b=basis[1],
-        dims_before=(big_n, big_m), dims_after=(n, m), reduced=True)
     g = None if rho._factor is None else iso.conj().T @ rho._factor
     compressed = iso.conj().T @ rho.matrix @ iso if g is None else g @ g.conj().T
-    return DensityMatrix._trusted(compressed, (n, m), factor=g), record
+    return DensityMatrix._trusted(compressed, (n, m), factor=g)
 
 
 def parse_ket(text: str, dims, normalize: bool = True) -> StateVector:

@@ -217,7 +217,7 @@ def test_criterion_7_invariant_suites():
             iso_b = random_unitary_oracle(rng, dims_big[1])[:, :dims_small[1]]
             full = np.kron(iso_a, iso_b)
             embedded = DensityMatrix.create(full @ small @ full.conj().T, dims_big)
-            reduced, _ = reduce_support(embedded)
+            reduced = reduce_support(embedded)
             after = negativity_oracle(reduced.matrix, *reduced.dims)
             assert abs(after - before) <= 1e-9
 

@@ -17,7 +17,6 @@ from qloss import (
     density,
     ghz,
     ky_fan_norm,
-    marginals,
     normal_form,
     observation1_family,
     partial_trace,
@@ -107,19 +106,20 @@ def test_marginals_of_product_state():
     rho_a = random_density_oracle(rng, 2)
     rho_b = random_density_oracle(rng, 3)
     rho = DensityMatrix.create(np.kron(rho_a, rho_b), (2, 3))
-    got_a, got_b = marginals(rho)
+    got_a, got_b = partial_trace(rho, [0]), partial_trace(rho, [1])
     np.testing.assert_allclose(got_a.matrix, rho_a, atol=1e-12)
     np.testing.assert_allclose(got_b.matrix, rho_b, atol=1e-12)
 
 
 def test_marginals_of_bell_are_maximally_mixed():
-    got_a, got_b = marginals(BELL)
+    got_a, got_b = partial_trace(BELL, [0]), partial_trace(BELL, [1])
     np.testing.assert_allclose(got_a.matrix, np.eye(2) / 2, atol=1e-12)
     np.testing.assert_allclose(got_b.matrix, np.eye(2) / 2, atol=1e-12)
 
 
 def test_marginals_of_w_residual():
-    got_a, got_b = marginals(_residual(w()))
+    residual = _residual(w())
+    got_a, got_b = partial_trace(residual, [0]), partial_trace(residual, [1])
     np.testing.assert_allclose(got_a.matrix, np.diag([2 / 3, 1 / 3]), atol=1e-12)
     np.testing.assert_allclose(got_b.matrix, np.diag([2 / 3, 1 / 3]), atol=1e-12)
 
@@ -137,7 +137,7 @@ def test_normal_form_whitens_marginals(dims):
         rho = DensityMatrix.create(
             random_density_oracle(rng, int(np.prod(dims)), min_eig=0.01), dims)
         filtered = normal_form(rho)
-        got_a, got_b = marginals(filtered)
+        got_a, got_b = partial_trace(filtered, [0]), partial_trace(filtered, [1])
         assert np.abs(got_a.matrix - np.eye(dims[0]) / dims[0]).max() <= 1e-8
         assert np.abs(got_b.matrix - np.eye(dims[1]) / dims[1]).max() <= 1e-8
         form = bloch_decompose(filtered)
@@ -175,7 +175,7 @@ def test_normal_form_reports_non_convergence():
 def test_normal_form_iteration_count_exposed_internally():
     filtered, iterations = _normal_form_steps(tiles_state())
     assert iterations > 0
-    got_a, _ = marginals(filtered)
+    got_a = partial_trace(filtered, [0])
     assert np.abs(got_a.matrix - np.eye(3) / 3).max() <= 1e-9
 
 

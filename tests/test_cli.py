@@ -194,6 +194,11 @@ def test_fig1_validates_samples(capsys):
     assert run_cli(["fig1", "--samples", "0"], capsys)[0] == 64
 
 
+@pytest.mark.parametrize("flag", [["--budget", "5"], ["--rank-tol", "1e-8"], ["--nf-tol", "1e-6"]])
+def test_fig1_rejects_flags_it_does_not_read(flag, capsys):
+    assert run_cli(["fig1", "--samples", "1", *flag], capsys)[0] == 64
+
+
 def test_fig1_deterministic_bytes(tmp_path, capsys):
     a = tmp_path / "a.csv"
     b = tmp_path / "b.csv"

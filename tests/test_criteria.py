@@ -103,11 +103,6 @@ def test_kf_never_certifies():
     assert result.verdict is not Verdict.SEPARABLE
 
 
-def test_kf_override_flag_recorded():
-    result = kf_criterion(correlation_svd(bloch_decompose(tiles_state())), normal_form=False)
-    assert "override" in result.notes
-
-
 def test_kf_no_false_positives_on_filtered_separable_mixtures():
     rng = np.random.default_rng(0)
     fired = 0
@@ -148,12 +143,11 @@ def test_length_bound_fires_on_separable_state():
 
 @pytest.mark.parametrize("criterion", [kf_criterion, length_bound_criterion])
 def test_normal_form_flag_is_keyword_only(criterion):
-    # a call written for the old (csvd, dims) signature must not bind the
-    # dims tuple to the flag
+    # a call written for the old (csvd, dims) signature raises instead of
+    # binding the dims tuple to anything
     csvd = correlation_svd(bloch_decompose(_isotropic3(0.25)))
     with pytest.raises(TypeError):
         criterion(csvd, (3, 3))
-    assert "override" in criterion(csvd, normal_form=False).notes
 
 # --- PPT / negativity ----------------------------------------------------------
 

@@ -188,3 +188,31 @@ def test_stack_with_one_bad_member_raises():
     with pytest.raises(NotPSDError):
         numerics.sqrt_psd(shifted)
     numerics.sqrt_psd(shifted[:2])
+
+
+def test_support_of_a_stack_matches_per_member_calls():
+    rng = np.random.default_rng(14)
+    w = np.sort(rng.normal(size=(6, 5)), axis=-1)
+    w[0] = [0.0, 0.0, 1e-11, 1e-9, 1.0]
+    w[1] = -np.abs(w[1])
+    keep = numerics.support(w, 1e-2)
+    assert keep.shape == w.shape
+    for index, member in enumerate(w):
+        assert np.array_equal(keep[index], numerics.support(member, 1e-2))
+    assert np.array_equal(numerics.support(w[0]), [False, False, False, True, True])
+
+
+def test_support_comparison_is_strict():
+    at = numerics.support(np.array([0.0, 1e-10, 1.0]), 1e-10)
+    above = numerics.support(np.array([0.0, np.nextafter(1e-10, 1.0), 1.0]), 1e-10)
+    assert at.tolist() == [False, False, True]
+    assert above.tolist() == [False, True, True]
+
+
+def test_support_of_a_spectrum_without_a_positive_eigenvalue_is_empty():
+    for w in (np.zeros(3), np.array([-2.0, -1.0]), np.array([-1.0, 0.0])):
+        assert not numerics.support(w).any()
+    assert numerics.support(np.zeros(0)).shape == (0,)
+    assert numerics.support(np.zeros((3, 0))).shape == (3, 0)
+    stack = numerics.support(np.array([[-1.0, 0.0], [0.0, 0.0], [0.5, 1.0]]))
+    assert stack.tolist() == [[False, False], [False, False], [True, True]]
