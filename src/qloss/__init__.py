@@ -19,7 +19,7 @@ from .criteria import (
     RoofBudget,
     Verdict,
     build_example1_state,
-    concurrence_mixed,
+    concurrence,
     concurrence_pure,
     concurrence_roof,
     example1_region,

@@ -183,7 +183,7 @@ def _cmd_analyze(args) -> int:
                 return EX_USAGE
             dims = tuple(int(d) for d in args.dims)
             state = parse_ket(args.ket, dims)
-            content = StateFile("ket", dims, state, text=args.ket, ket_expression=args.ket)
+            content = StateFile("ket", dims, state, text=args.ket)
             echo = {"dims": list(dims), "format": "ket", "ket": args.ket}
         else:
             if args.path is None:
@@ -298,9 +298,7 @@ def _cmd_sweep(args) -> int:
         if not grid:
             sys.stderr.write("sweep: no grid flags given\n")
             return EX_USAGE
-        points = sweep(args.family, grid, fixed=fixed, seed=args.seed,
-                       rank_tol=args.rank_tol, nf_tol=args.nf_tol,
-                       roof_budget=_roof_budget(args))
+        points = sweep(args.family, grid, fixed=fixed, **_classify_options(args))
     except InvalidParamsError as exc:
         sys.stderr.write(f"sweep: {exc}\n")
         return EX_USAGE

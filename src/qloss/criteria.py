@@ -193,26 +193,23 @@ def _orthonormal_columns(x: np.ndarray) -> np.ndarray:
     return q * d
 
 
-def concurrence_roof(rho: DensityMatrix, budget: RoofBudget | None = None) -> MeasureValue:
+def concurrence_roof(rho: DensityMatrix, budget: RoofBudget,
+                     rank_tol: float = numerics.RANK_TOL) -> MeasureValue:
     """Convex-roof upper bound on the concurrence of a bipartite mixed state.
 
     Ensembles {p_j, psi_j} of size K = rank + 2 are generated by isometry
-    mixing of the eigendecomposition (every size-K decomposition of rho
-    arises this way), and the average pure-state concurrence is minimized
-    by a seeded multi-start random local search. The result is an upper
-    bound on the convex-roof infimum; no convergence claim is made. Seed and
-    budget are recorded in the output notes for reproducibility.
+    mixing of the state's Gram factor (every size-K decomposition of rho
+    arises this way); the rank is decided by ``rank_tol``, as everywhere
+    else. The average pure-state concurrence is minimized by a seeded
+    multi-start random local search. The result is an upper bound on the
+    convex-roof infimum; no convergence claim is made. Seed, budget and
+    ensemble size are recorded in the output notes for reproducibility.
     """
     if len(rho.dims) != 2:
         raise DimensionMismatchError(f"concurrence needs bipartite dims, got {rho.dims}")
-    budget = budget or RoofBudget()
     n, m = rho.dims
-    w, v = numerics.eigh(rho.matrix)
-    keep = numerics.support(w)
-    lam = w[keep]
-    vecs = v[:, keep]
-    rank = int(lam.size)
-    sub = vecs * np.sqrt(lam)                       # columns are subnormalized
+    sub = rho._gram_factor(rank_tol)                # columns are subnormalized
+    rank = sub.shape[1]
     size = rank + 2
 
     def cost(mix: np.ndarray) -> float:
@@ -242,18 +239,30 @@ def concurrence_roof(rho: DensityMatrix, budget: RoofBudget | None = None) -> Me
     return MeasureValue("concurrence", float(best), "upper_bound", notes=notes)
 
 
-def concurrence_mixed(rho: DensityMatrix, budget: RoofBudget | None = None) -> MeasureValue:
-    """Concurrence of a bipartite mixed state.
+def concurrence(rho: DensityMatrix, budget: RoofBudget | None = None,
+                rank_tol: float = numerics.RANK_TOL) -> MeasureValue | None:
+    """Concurrence of a bipartite mixed state, by the first rule that applies.
 
-    Two-qubit input gets the exact spin-flip value; anything larger gets the
-    convex-roof upper bound (flagged as such in the result).
+    Two-qubit input gets the exact spin-flip value; a pure state (rank 1
+    under ``rank_tol``) gets the exact pure-state value of its Gram factor;
+    with a ``budget``, anything else gets the convex-roof upper bound
+    (flagged as such in the result). Otherwise there is no value: None.
     """
     if len(rho.dims) != 2:
         raise DimensionMismatchError(f"concurrence needs bipartite dims, got {rho.dims}")
     if rho.dims == (2, 2):
         return MeasureValue("concurrence", wootters_concurrence(rho), "exact",
                             notes="spin-flip eigenvalue formula")
-    return concurrence_roof(rho, budget)
+    # under the rank_tol rule a pure state has 1 - Tr(rho^2) <= 2 (d - 1) rank_tol,
+    # since 1 - w1^2 <= 2 (1 - w1); the 1e-12 absorbs the trace's rounding. The
+    # test spares mixed states the eigensolve of the Gram factor.
+    dim = rho.matrix.shape[0]
+    if 1.0 - np.vdot(rho.matrix, rho.matrix).real <= 2 * (dim - 1) * rank_tol + 1e-12:
+        g = rho._gram_factor(rank_tol)
+        if g.shape[1] == 1:
+            value = concurrence_pure(StateVector.create(g[:, 0], rho.dims)).value
+            return MeasureValue("concurrence", value, "exact", notes="pure residual")
+    return None if budget is None else concurrence_roof(rho, budget, rank_tol)
 
 
 def example1_region(t1: float, t2: float, t3: float, alpha) -> bool:

@@ -9,8 +9,9 @@ the residual N x M mixed state (qubit traced out) is still entangled, and
 3. the PPT/negativity test,
 4. normal-form filtering, then the Ky Fan criterion on success (the
    length-bound statistic is recorded informationally),
-5. measures (negativity always; concurrence exactly for 2 x 2 or pure
-   residuals, by convex-roof upper bound when a budget is supplied),
+5. measures (negativity always; concurrence from the one dispatch
+   :func:`qloss.criteria.concurrence`: exact for 2 x 2 or pure residuals,
+   a convex-roof upper bound when a budget is supplied),
 
 and pools the evidence: any detection => Robust; a separability certificate
 with no detection => Fragile; otherwise Undetermined. Honest tri-state
@@ -36,8 +37,7 @@ from .criteria import (
     RoofBudget,
     Verdict,
     build_example1_state,
-    concurrence_mixed,
-    concurrence_pure,
+    concurrence,
     example1_region,
     kf_criterion,
     length_bound_criterion,
@@ -138,12 +138,9 @@ def classify_residual(
     timings["normal_form"] = (time.perf_counter() - tick) * 1e3
 
     tick = time.perf_counter()
-    two_qubit = reduced.dims == (2, 2)
-    pure = None if two_qubit else _pure_residual_concurrence(reduced, rank_tol)
-    if pure is not None:
-        measures.append(pure)
-    elif two_qubit or roof_budget is not None:
-        measures.append(concurrence_mixed(reduced, roof_budget))
+    value = concurrence(reduced, roof_budget, rank_tol)
+    if value is not None:
+        measures.append(value)
     timings["measures"] = (time.perf_counter() - tick) * 1e3
     timings["total"] = (time.perf_counter() - start) * 1e3
 
@@ -169,20 +166,6 @@ def classify_residual(
         },
         timings_ms=timings,
     )
-
-
-def _pure_residual_concurrence(rho: DensityMatrix, rank_tol: float) -> MeasureValue | None:
-    """Exact concurrence of a rank-1 residual from its Gram factor; None if mixed."""
-    # under the rank_tol rule a pure residual has 1 - Tr(rho^2) <= 2 (d - 1) rank_tol,
-    # since 1 - w1^2 <= 2 (1 - w1); the 1e-12 absorbs the trace's rounding
-    dim = rho.matrix.shape[0]
-    if 1.0 - np.vdot(rho.matrix, rho.matrix).real > 2 * (dim - 1) * rank_tol + 1e-12:
-        return None
-    g = rho._gram_factor(rank_tol)
-    if g.shape[1] != 1:
-        return None
-    value = concurrence_pure(StateVector.create(g[:, 0], rho.dims)).value
-    return MeasureValue("concurrence", value, "exact", notes="pure residual")
 
 
 def classify_qubit_loss(

@@ -302,7 +302,6 @@ class StateFile:
     dims: tuple[int, ...]
     state: object                 # StateVector or DensityMatrix
     text: str
-    ket_expression: str | None = None
 
 
 def parse_state_file(text: str) -> StateFile:
@@ -334,9 +333,8 @@ def parse_state_file(text: str) -> StateFile:
         raise StateFileError("missing 'ket:' or 'rho:' section", lineno)
     stripped = body.strip()
     if stripped.startswith("ket:"):
-        expr = stripped[len("ket:"):].strip()
-        state = parse_ket(expr, dims)
-        return StateFile("ket", dims, state, text, ket_expression=expr)
+        state = parse_ket(stripped[len("ket:"):].strip(), dims)
+        return StateFile("ket", dims, state, text)
     if stripped.startswith("rho:"):
         d = int(np.prod(dims))
         rows = []

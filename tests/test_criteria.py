@@ -13,7 +13,7 @@ from qloss import (
     Verdict,
     bloch_decompose,
     build_example1_state,
-    concurrence_mixed,
+    concurrence,
     concurrence_pure,
     concurrence_roof,
     correlation_svd,
@@ -258,15 +258,19 @@ def test_wootters_matches_oracle_on_random_states():
 
 
 def test_concurrence_mixed_two_qubit_is_exact():
-    measure = concurrence_mixed(_werner(0.9))
+    measure = concurrence(_werner(0.9))
     assert measure.kind == "exact"
     assert measure.value == pytest.approx(0.85, abs=1e-12)
 
 
 def test_concurrence_mixed_large_dims_is_upper_bound():
-    measure = concurrence_mixed(tiles_state(), RoofBudget(restarts=2, iterations=30))
+    measure = concurrence(tiles_state(), RoofBudget(restarts=2, iterations=30))
     assert measure.kind == "upper_bound"
     assert "seed=0" in measure.notes
+
+
+def test_concurrence_without_budget_skips_mixed_large_dims():
+    assert concurrence(tiles_state()) is None
 
 
 def test_roof_on_pure_state_is_exact():

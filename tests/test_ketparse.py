@@ -135,7 +135,8 @@ def test_state_file_with_ket():
     content = parse_state_file(text)
     assert content.kind == "ket" and content.dims == (2, 3, 3)
     assert isinstance(content.state, StateVector)
-    assert content.ket_expression.startswith("|010>")
+    expected = parse_ket("|010> + |001> + |112> + |121>", (2, 3, 3))
+    assert np.array_equal(content.state.amplitudes, expected.amplitudes)
 
 
 def test_state_file_with_rho():

@@ -6,10 +6,13 @@ import pytest
 from qloss import (
     Classification,
     DensityMatrix,
+    RoofBudget,
     StateVector,
     Verdict,
     classify_qubit_loss,
     classify_residual,
+    concurrence,
+    concurrence_roof,
     density,
     example3_family,
     fig1_scatter,
@@ -30,8 +33,8 @@ from qloss import bloch
 from qloss.bloch import NF_MAX_ITER, NF_TOL
 from qloss.cli import report_to_dict
 from qloss.errors import DegenerateFamilyError, InvalidParamsError, NotPSDError
-from qloss.robustness import FIG1_BLOCK, _pure_residual_concurrence
-from qloss.states import reduce_support
+from qloss.robustness import FIG1_BLOCK
+from qloss.states import _gamma_residual, reduce_support
 
 from oracles import negativity_oracle, random_pure, random_unitary_oracle
 
@@ -126,8 +129,8 @@ def test_classification_is_lu_invariant():
 
 
 def test_filtering_off_the_psd_cone_falls_back_to_ppt():
-    # the normal form of this 2x3x5 residual meets its marginal tolerance
-    # with a state that is no longer PSD; that is a filtering breakdown
+    # no rank-2 normal form exists for this 2x3x5 residual (3N/2 < M < 2N), so
+    # filtering stops at step 0 and the PPT test decides
     rng = np.random.default_rng(11)
     for _ in range(3):
         amps = rng.normal(size=30) + 1j * rng.normal(size=30)
@@ -140,7 +143,7 @@ def test_filtering_off_the_psd_cone_falls_back_to_ppt():
 @pytest.mark.parametrize("dims", [(2, 3, 5), (2, 4, 7)])
 def test_failed_filtering_keeps_its_iteration_count(dims):
     # 3N/2 < M < 2N: no rank-2 normal form exists, so filtering stops
-    # before its first step and says why
+    # before its first step and says why; the PPT test still decides
     rng = np.random.default_rng(11)
     size = int(np.prod(dims))
     for _ in range(3):
@@ -150,6 +153,8 @@ def test_failed_filtering_keeps_its_iteration_count(dims):
     assert report.nf_iterations == 0 and report.nf_stop == "no_normal_form"
     doc = report_to_dict(report)["normal_form"]
     assert doc == {"status": "diverged", "iterations": 0, "stop": "no_normal_form"}
+    assert report.classification is Classification.ROBUST
+    assert _criterion(report, "ppt").verdict is Verdict.DETECTED
 
 
 def test_filtering_at_the_cap_reports_its_stop_reason():
@@ -294,15 +299,52 @@ def test_pure_residual_concurrence_skips_eigh_on_mixed_residual(monkeypatch):
 
     monkeypatch.setattr(qloss.numerics, "eigh", forbidden)
     rho = observation1_family(3, np.sqrt(0.5), np.sqrt(0.5), 0.5)
-    assert _pure_residual_concurrence(rho, 1e-10) is None
+    assert concurrence(rho, rank_tol=1e-10) is None
 
 
 def test_pure_residual_concurrence_is_exact():
-    report = classify_qubit_loss(parse_ket("|000> + |011> + |022>", (2, 3, 3)))
-    concurrence = _measure(report, "concurrence")
-    assert concurrence.value == pytest.approx(2 / np.sqrt(3), abs=1e-12)
-    assert concurrence.kind == "exact"
-    assert concurrence.notes == "pure residual"
+    state = parse_ket("|000> + |011> + |022>", (2, 3, 3))
+    report = classify_qubit_loss(state)
+    measure = _measure(report, "concurrence")
+    assert measure.value == pytest.approx(2 / np.sqrt(3), abs=1e-12)
+    assert measure.kind == "exact"
+    assert measure.notes == "pure residual"
+    # the pure rule runs before the roof, so a budget changes nothing
+    budgeted = classify_qubit_loss(state, roof_budget=RoofBudget(restarts=1, iterations=1))
+    assert _measure(budgeted, "concurrence") == measure
+    dense = concurrence(partial_trace(density(state), keep=(1, 2)))
+    assert (dense.kind, dense.notes) == ("exact", "pure residual")
+    assert dense.value == pytest.approx(measure.value, abs=1e-12)
+
+
+def test_roof_ensemble_follows_rank_tol():
+    # eigenvalues (0.807, 0.193, 3.1e-7): rank 3 at the default rank_tol, rank 2
+    # at 1e-4, so the roof's ensemble (rank + 2) is 5 and 4
+    rng = np.random.default_rng(21)
+    u = random_unitary_oracle(rng, 9)
+    spectrum = np.zeros(9)
+    spectrum[:3] = [0.807, 0.193, 3.1e-7]
+    rho = DensityMatrix.create((u * spectrum) @ u.conj().T, (3, 3))
+    budget = RoofBudget(restarts=2, iterations=20)
+    for rank_tol, ensemble in [(1e-4, 4), (1e-10, 5)]:
+        report = classify_residual(rho, rank_tol=rank_tol, roof_budget=budget)
+        assert report.reduced_dims == (3, 3)
+        roof = _measure(report, "concurrence")
+        assert roof.kind == "upper_bound"
+        assert roof.notes.endswith(f"ensemble={ensemble}")
+
+
+def test_roof_ensemble_from_the_gamma_factor_matches_the_dense_one():
+    # with no restarts the roof reads its starting ensemble only, which does not
+    # depend on the phases of the factor's columns
+    rng = np.random.default_rng(22)
+    budget = RoofBudget(restarts=0)
+    for n, m in [(3, 3), (3, 4), (4, 5)]:
+        state = StateVector.create(random_pure(rng, 2 * n * m), (2, n, m))
+        factored = concurrence_roof(_gamma_residual(state), budget)
+        dense = concurrence_roof(partial_trace(density(state), keep=(1, 2)), budget)
+        assert factored.notes == dense.notes
+        assert factored.value == pytest.approx(dense.value, abs=1e-12)
 
 
 def test_swapped_dims_give_same_classification():
