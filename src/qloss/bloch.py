@@ -40,6 +40,13 @@ _MAX_OMEGA = 1.9
 _FLAT_RATE = 0.999
 # a backed-off factor whose excess over 1 would fall below this snaps to 1
 _MIN_EXCESS = 0.05
+# unitary mixes (c, s) of a Gamma factor's columns g0, g1: the pencil is read
+# as D = g0'^-1 g1' with g0' = c g0 + s g1, g1' = -conj(s) g0 + conj(c) g1,
+# at the mix whose g0' is best conditioned
+_PENCIL_MIXES = ((1.0, 0.0), (0.5 ** 0.5, 0.5 ** 0.5), (0.5 ** 0.5, 0.5 ** 0.5 * 1j),
+                 (0.6, 0.8 * np.exp(0.5j)))
+#: The notes clause of the criteria that read a normal form built from the pencil.
+PENCIL_NOTE = "normal form from the Gamma-block pencil"
 
 
 def _young(rate: float) -> float:
@@ -86,6 +93,13 @@ class CorrelationSVD:
 
     dims: tuple[int, int]
     tau: np.ndarray        # descending, nonnegative
+    notes: str = ""        # how the normal form was reached, when not by filtering
+
+
+class _PencilForm(DensityMatrix):
+    """A normal form built from the Gamma-block pencil by :func:`normal_form`:
+    sum_ij |ii><jj| <phi_j|phi_i> / N, kept with its factor, whose row ii is
+    phi_i / sqrt(N) and whose other rows are zero."""
 
 
 def bloch_decompose(rho: DensityMatrix) -> BlochForm:
@@ -169,13 +183,34 @@ def _no_normal_form(g: np.ndarray, rank_tol: float) -> bool:
     return g.shape == (2, 2, 2) and _three_tangle(g) <= rank_tol
 
 
+def _pencil_vectors(g: np.ndarray, bound: float) -> np.ndarray | None:
+    """Rows phi_i = (1, lambda_i) / |(1, lambda_i)| for the eigenvalues
+    lambda_i of D = g0^-1 g1, the pencil of the two columns of the (N, N, 2)
+    factor ``g`` after the best conditioned of ``_PENCIL_MIXES``; None unless
+    g0 and D's eigenvector matrix V both have condition number at most
+    ``bound`` (a singular pencil fails the first, a defective one the second)."""
+    c, s = np.array(_PENCIL_MIXES).T
+    g0 = c[:, None, None] * g[..., 0] + s[:, None, None] * g[..., 1]
+    conds = np.linalg.cond(g0)
+    best = int(np.argmin(conds))
+    if not conds[best] <= bound:
+        return None
+    g1 = -np.conj(s[best]) * g[..., 0] + np.conj(c[best]) * g[..., 1]
+    lam, v = np.linalg.eig(np.linalg.solve(g0[best], g1))
+    if not np.linalg.cond(v) <= bound:
+        return None
+    phi = np.stack([np.ones_like(lam), lam], axis=1)
+    return phi / np.linalg.norm(phi, axis=1, keepdims=True)
+
+
 def _normal_form_steps(
     rho: DensityMatrix,
     tol: float = NF_TOL,
     max_iter: int = NF_MAX_ITER,
     rank_tol: float = numerics.RANK_TOL,
 ) -> tuple[DensityMatrix, int]:
-    """Filtering loop; returns the filtered state and the iteration count."""
+    """Filtering loop; returns the filtered state and the iteration count (0
+    on the pencil route, see :func:`normal_form`)."""
     if len(rho.dims) != 2:
         raise DimensionMismatchError(f"normal form needs bipartite dims, got {rho.dims}")
     n, m = rho.dims
@@ -198,6 +233,12 @@ def _normal_form_steps(
         raise NoConvergenceError(
             f"no normal form of rank {g.shape[2]} is reachable on {n} x {m}",
             iterations=0, reason="no_normal_form")
+    if rho._factor is not None and g.shape == (n, n, 2):
+        phi = _pencil_vectors(g, 1.0 / np.sqrt(rank_tol))
+        if phi is not None:
+            factor = np.zeros((n * n, 2), dtype=complex)
+            factor[:: n + 1] = phi / np.sqrt(n)
+            return _PencilForm._trusted(factor @ factor.conj().T, (n, n), factor=factor), 0
     history = [deviation]                # deviation after each completed step
     omega = 1.0
     stalled = 0
@@ -277,6 +318,23 @@ def normal_form(
     until both marginals are within ``tol`` (max-entry distance) of I/d. A
     state already within ``tol`` is returned as it is.
 
+    A state that kept a Gamma factor (the residual of a pure 2 x N x N
+    state) and has rank 2 on N x N is not filtered: its normal form comes in
+    closed form (the pencil route). Its Gram factor's columns g0, g1 are the
+    state's Gamma-block pencil. After a unitary mix of the columns (a
+    non-unitary one would change the state), g0 is invertible and D = g0^-1
+    g1 = V diag(lambda) V^-1; the filters V^-1 g0^-1 and V^T take the state
+    to sum_i |ii> (x) (|0> + lambda_i |1>), and rescaling each term gives the
+    normal form sum_ij |ii><jj| <phi_j|phi_i> / N with phi_i = (1, lambda_i)
+    / |(1, lambda_i)| (Chitambar, Duan and Shi, PRL 101, 140502), returned
+    with 0 iterations. The route's guard is that both g0 and V have
+    condition number at most 1/sqrt(rank_tol). It runs after the ``tol``
+    test and the ``no_normal_form`` rule below, so neither changes. Every
+    other state is filtered: dense input, N != M, rank other than 2, a
+    singular pencil (det(s g0 + t g1) = 0 for all s, t, as for the four-term
+    2x3x3 below) and a pencil that fails the guard (a defective D, or a
+    Gamma-factored W + eps|111> with a 3-tangle below about 1.8 rank_tol).
+
     The relaxation factor w adapts as the run goes (over-relaxed Sinkhorn
     scaling, Thibault et al., arXiv:1711.01851). The first 8 steps are a
     probe at w = 1, the plain scaling, so a state filtered within 8 steps
@@ -330,12 +388,29 @@ def normal_form(
     W-class range (a double root of the pencil) holds exactly one, and
     invertible filters preserve that count. A rank-2 two-qubit state with a
     3-tangle at most ``rank_tol`` is reported as ``no_normal_form`` without
-    filtering; states just above it approach I/d ever more slowly and run to
-    the cap (W + eps|111> does up to a 3-tangle of about 6e-4). The
+    filtering; filtered states just above it approach I/d ever more slowly
+    and run to the cap (W + eps|111> does up to a 3-tangle of about 6e-4). The
     four-term 2x3x3 residual stalls at deviation 1/3.
     """
     filtered, _ = _normal_form_steps(rho, tol=tol, max_iter=max_iter, rank_tol=rank_tol)
     return filtered
+
+
+def _normal_form_svd(rho: DensityMatrix) -> CorrelationSVD:
+    """:func:`correlation_svd` of a state from :func:`_normal_form_steps`.
+
+    On a normal form built from the pencil the singular values follow from
+    the overlaps of its vectors, with no Bloch decomposition: 2 |<phi_p|phi_q>|
+    / N twice for each pair p < q (the factor's rows hold phi_i / sqrt(N)),
+    and N - 1 copies of 2/N.
+    """
+    if not isinstance(rho, _PencilForm):
+        return correlation_svd(bloch_decompose(rho))
+    n = rho.dims[0]
+    rows = rho._factor[:: n + 1]
+    pairs = 2.0 * np.abs(rows.conj() @ rows.T)[np.triu_indices(n, 1)]
+    tau = np.concatenate([pairs, pairs, np.full(n - 1, 2.0 / n)])
+    return CorrelationSVD(dims=rho.dims, tau=np.sort(tau)[::-1], notes=PENCIL_NOTE)
 
 
 def correlation_svd(bf: BlochForm) -> CorrelationSVD:

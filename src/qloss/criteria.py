@@ -68,6 +68,11 @@ def _detection(statistic: float, threshold: float) -> Verdict:
     return Verdict.DETECTED if statistic > threshold + DEADBAND else Verdict.NOT_DETECTED
 
 
+def _notes(text: str, csvd: CorrelationSVD) -> str:
+    """A criterion's notes, with the clause saying how its normal form was reached."""
+    return f"{text}; {csvd.notes}" if csvd.notes else text
+
+
 def kf_criterion(csvd: CorrelationSVD) -> CriterionResult:
     """Ky Fan norm test on the correlation matrix of a normal-form state.
 
@@ -79,7 +84,7 @@ def kf_criterion(csvd: CorrelationSVD) -> CriterionResult:
     statistic = float(csvd.tau.sum()) ** 2
     threshold = 4.0 * (n - 1) * (m - 1) / (n * m)
     return CriterionResult("ky_fan", statistic, threshold, _detection(statistic, threshold),
-                           notes="squared Ky Fan norm of the correlation matrix")
+                           notes=_notes("squared Ky Fan norm of the correlation matrix", csvd))
 
 
 def length_bound_criterion(csvd: CorrelationSVD) -> CriterionResult:
@@ -91,8 +96,8 @@ def length_bound_criterion(csvd: CorrelationSVD) -> CriterionResult:
     n, m = csvd.dims
     scale = np.sqrt(n * (n - 1) * m * (m - 1)) / 2.0
     statistic = float(scale * csvd.tau.sum())
-    return CriterionResult("length_bound", statistic, 1.0, _detection(statistic, 1.0),
-                           notes="rescaled correlation singular values (informational)")
+    notes = _notes("rescaled correlation singular values (informational)", csvd)
+    return CriterionResult("length_bound", statistic, 1.0, _detection(statistic, 1.0), notes=notes)
 
 
 def ppt_negativity(rho: DensityMatrix) -> tuple[CriterionResult, MeasureValue]:

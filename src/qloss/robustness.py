@@ -29,7 +29,7 @@ from enum import Enum
 import numpy as np
 
 from . import numerics
-from .bloch import NF_MAX_ITER, NF_TOL, _normal_form_steps, bloch_decompose, correlation_svd
+from .bloch import NF_MAX_ITER, NF_TOL, _normal_form_steps, _normal_form_svd
 from .criteria import (
     DEADBAND,
     CriterionResult,
@@ -132,7 +132,7 @@ def classify_residual(
     except RankDeficientError:
         filtered, nf_status = None, "rank_deficient"
     if filtered is not None:
-        csvd = correlation_svd(bloch_decompose(filtered))
+        csvd = _normal_form_svd(filtered)
         criteria.append(kf_criterion(csvd))
         informational.append(length_bound_criterion(csvd))
     timings["normal_form"] = (time.perf_counter() - tick) * 1e3

@@ -13,22 +13,25 @@ from qloss import (
     bloch_decompose,
     build_example1_state,
     classify_qubit_loss,
+    classify_residual,
     correlation_svd,
     density,
     ghz,
     ky_fan_norm,
     normal_form,
     observation1_family,
+    parse_ket,
     partial_trace,
     reconstruct,
     tiles_state,
     w,
 )
 from qloss import bloch
-from qloss.bloch import NF_MAX_ITER, NF_TOL, _normal_form_steps
-from qloss.criteria import kf_criterion
+from qloss.bloch import NF_MAX_ITER, NF_TOL, PENCIL_NOTE, _normal_form_steps
+from qloss.criteria import Verdict, kf_criterion
 from qloss.errors import NoConvergenceError, RankDeficientError
 from qloss.numerics import RANK_TOL
+from qloss.states import _gamma_residual
 from qloss.su_basis import generators
 
 from oracles import (
@@ -163,7 +166,6 @@ def test_normal_form_rejects_rank_deficient_marginal():
 
 
 def test_normal_form_reports_non_convergence():
-    from qloss import parse_ket
     residual = _residual(parse_ket("|010> + |001> + |112> + |121>", (2, 3, 3)))
     with pytest.raises(NoConvergenceError) as err:
         normal_form(residual)
@@ -194,8 +196,9 @@ def _draw(seed, dims, index):
     _draw([4, 2], [(12, 12), (13, 13), (14, 14)], 2),
 ], ids=["2x12x12_rng5", "2x14x14_rng4_2"])
 def test_relaxed_filtering_converges_where_unrelaxed_hits_the_cap(state):
-    # both need more than NF_MAX_ITER unrelaxed steps
-    report = classify_qubit_loss(state)
+    # both need more than NF_MAX_ITER unrelaxed steps; the dense residual,
+    # since the Gamma-factored one takes the pencil route
+    report = classify_residual(_residual(state))
     assert report.normal_form_status == "converged"
     assert report.nf_iterations < NF_MAX_ITER
     assert "ky_fan" in [c.name for c in report.criteria]
@@ -203,8 +206,8 @@ def test_relaxed_filtering_converges_where_unrelaxed_hits_the_cap(state):
 
 def test_adapted_relaxation_converges_on_the_probe_misread_input():
     # the probe reads this input's rate too low; with the relaxation factor
-    # fixed after it, the input needed 837 steps
-    report = classify_qubit_loss(_draw([9, 2], [(12, 12)], 0))
+    # fixed after it, the input needed 837 steps (dense, so it is filtered)
+    report = classify_residual(_residual(_draw([9, 2], [(12, 12)], 0)))
     assert report.normal_form_status == "converged"
     assert report.nf_iterations <= 250
     assert "ky_fan" in [c.name for c in report.criteria]
@@ -364,6 +367,115 @@ def test_w_class_shortcut_fires_iff_the_three_tangle_vanishes(state):
         assert off == (NF_MAX_ITER, "cap")
     else:
         assert _stop(residual) == off
+
+
+def _ky_fan(report):
+    return next(c for c in report.criteria if c.name == "ky_fan")
+
+
+def _pencil_ky_fan(state):
+    """The Ky Fan criterion of a pure input that takes the pencil route."""
+    report = classify_qubit_loss(state)
+    assert (report.normal_form_status, report.nf_iterations) == ("converged", 0)
+    kf = _ky_fan(report)
+    assert kf.notes.endswith("; " + PENCIL_NOTE)
+    assert report.informational[0].notes.endswith("; " + PENCIL_NOTE)
+    return kf
+
+
+def _oracle_ky_fan(state):
+    """Squared Ky Fan norm of the normal form by plain Sinkhorn scaling of the
+    dense residual, run far below ``NF_TOL``, and loop-built generator traces."""
+    _, n, m = state.dims
+    g = state.amplitudes.reshape(2, n * m).T
+    sigma, _ = sinkhorn_oracle(g @ g.conj().T, (n, m), tol=1e-13, max_iter=5000)
+    assert sigma is not None
+    return ky_fan_oracle(bloch_t_oracle(sigma, generators(n).matrices, generators(m).matrices))
+
+
+@st.composite
+def _pencil_inputs(draw):
+    """Gaussian 2 x N x N states, 2 <= N <= 6: as drawn, under random local
+    unitaries on all three parties, with the two Gamma blocks mixed by a
+    random unitary, or with a singular first block orthogonal to the second
+    (so the residual's Gram factor starts with that singular block)."""
+    n = draw(st.integers(2, 6))
+    kind = draw(st.sampled_from(["gaussian", "local_unitaries", "column_mix", "singular_g0"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    blocks = rng.normal(size=(2, n, n)) + 1j * rng.normal(size=(2, n, n))
+    if kind == "local_unitaries":
+        a, b = random_unitary_oracle(rng, n), random_unitary_oracle(rng, n)
+        blocks = np.einsum("kl,lij->kij", random_unitary_oracle(rng, 2), a @ blocks @ b.T)
+    elif kind == "column_mix":
+        blocks = np.einsum("kl,lij->kij", random_unitary_oracle(rng, 2), blocks)
+    elif kind == "singular_g0":
+        blocks[0, :, -1] = 0.0
+        blocks[1] -= np.vdot(blocks[0], blocks[1]) / np.vdot(blocks[0], blocks[0]) * blocks[0]
+        blocks[0] *= 0.5 * np.linalg.norm(blocks[1]) / np.linalg.norm(blocks[0])
+    return kind, StateVector.create(blocks.reshape(-1), (2, n, n))
+
+
+@settings(max_examples=40, deadline=None, database=None, derandomize=True)
+@given(_pencil_inputs())
+def test_pencil_ky_fan_matches_the_sinkhorn_oracle(case):
+    kind, state = case
+    if kind == "singular_g0":
+        _, n, _ = state.dims
+        g = _gamma_residual(state)._gram_factor().reshape(n, n, 2)
+        assert np.linalg.cond(g[..., 0]) > 1e12
+    assert _pencil_ky_fan(state).statistic == pytest.approx(_oracle_ky_fan(state), rel=1e-10)
+
+
+def test_pencil_takes_unbalanced_ghz_through_its_singular_first_block():
+    # cos|000> + sin|111>: the residual is diagonal but not a normal form, and
+    # its Gram factor's first column is the singular block |00>; the normal
+    # form has orthogonal phi_1, phi_2, the GHZ value 1.0 against 1.0
+    state = parse_ket("0.6|000> + 0.8|111>", (2, 2, 2))
+    kf = _pencil_ky_fan(state)
+    assert kf.statistic == pytest.approx(1.0, abs=1e-12)
+    assert kf.verdict is Verdict.NOT_DETECTED
+    assert kf.statistic == pytest.approx(_oracle_ky_fan(state), rel=1e-10)
+
+
+def test_pencil_route_falls_back_to_filtering():
+    # a singular pencil: det(s g0 + t g1) vanishes for every s, t
+    report = classify_qubit_loss(parse_ket("|010> + |001> + |112> + |121>", (2, 3, 3)))
+    assert report.reduced_dims == (3, 3)
+    assert (report.normal_form_status, report.nf_stop) == ("diverged", "stalled")
+    # W + eps|111>: a 3-tangle of 1.2e-10 passes the W-class rule, but the
+    # eigenvector matrix V has condition number 1.2e5 > 1/sqrt(rank_tol)
+    amps = w().amplitudes.copy()
+    amps[7] += 4e-11
+    state = StateVector.create(amps, (2, 2, 2))
+    assert RANK_TOL < three_tangle(state.amplitudes) < 2 * RANK_TOL
+    report = classify_qubit_loss(state)
+    assert (report.nf_stop, report.nf_iterations) == ("cap", NF_MAX_ITER)
+
+
+@pytest.mark.parametrize("n, draws", [(2, 6), (3, 4), (4, 3), (6, 2), (9, 2), (16, 1), (24, 1)])
+def test_pencil_ky_fan_detection_on_pure_nxn_input(n, draws):
+    # for N >= 3 some pair of three vectors in C^2 has overlap >= 1/2, so Ky
+    # Fan always detects; and wherever it detects, PPT detects too (a
+    # PPT residual of rank 2 is separable)
+    for seed in range(draws):
+        report = classify_qubit_loss(_draw([n, seed], [(n, n)], 0))
+        kf = _ky_fan(report)
+        assert report.nf_iterations == 0 and kf.notes.endswith(PENCIL_NOTE)
+        if n >= 3:
+            assert kf.verdict is Verdict.DETECTED
+        if kf.verdict is Verdict.DETECTED:
+            ppt = next(c for c in report.criteria if c.name == "ppt")
+            assert ppt.verdict is Verdict.DETECTED
+
+
+@pytest.mark.parametrize("n", [2, 3, 5, 8])
+def test_pencil_normal_form_has_maximally_mixed_marginals(n):
+    rho = _gamma_residual(_draw([n, 7], [(n, n)], 0))
+    assert _normal_form_steps(rho)[1] == 0
+    filtered = normal_form(rho)
+    for side in (0, 1):
+        marginal = partial_trace(filtered, [side]).matrix
+        assert np.abs(marginal - np.eye(n) / n).max() <= 1e-12
 
 
 def test_correlation_svd_zero_matrix():

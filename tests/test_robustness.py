@@ -157,16 +157,31 @@ def test_failed_filtering_keeps_its_iteration_count(dims):
     assert _criterion(report, "ppt").verdict is Verdict.DETECTED
 
 
-def test_filtering_at_the_cap_reports_its_stop_reason():
-    # W + 1e-6|111> has 3-tangle ~3e-6: above the W-class test, but so close
-    # to the boundary of the normal forms that filtering runs to the cap
+def _w_plus_1e6():
     amps = w().amplitudes.copy()
     amps[7] += 1e-6
-    report = classify_qubit_loss(StateVector.create(amps, (2, 2, 2)))
+    return StateVector.create(amps, (2, 2, 2))
+
+
+def test_filtering_at_the_cap_reports_its_stop_reason():
+    # W + 1e-6|111> has 3-tangle ~3e-6: above the W-class test, but so close
+    # to the boundary of the normal forms that filtering runs to the cap. The
+    # dense copy of the residual is filtered; the ket takes the pencil route
+    g = _w_plus_1e6().amplitudes.reshape(2, 4).T
+    report = classify_residual(DensityMatrix.create(g @ g.conj().T, (2, 2)))
     assert report.normal_form_status == "diverged"
     assert (report.nf_stop, report.nf_iterations) == ("cap", NF_MAX_ITER)
     doc = report_to_dict(report)["normal_form"]
     assert (doc["stop"], doc["iterations"]) == ("cap", NF_MAX_ITER)
+
+
+def test_near_w_ket_reaches_its_normal_form_from_the_pencil():
+    # the same state as a ket: its Gamma-block pencil is diagonalisable with
+    # cond(V) ~ 760 < 1/sqrt(rank_tol), so no filtering step is needed
+    report = classify_qubit_loss(_w_plus_1e6())
+    assert report.normal_form_status == "converged" and report.nf_stop is None
+    assert report.nf_iterations == 0
+    assert _criterion(report, "ky_fan").verdict is Verdict.DETECTED
 
 
 def _w_class_residuals():
@@ -247,6 +262,19 @@ def test_classify_residual_decomposes_t_once(monkeypatch):
     assert [c.name for c in report.informational] == ["length_bound"]
     assert _criterion(report, "ky_fan") is not None
     assert calls == [(8, 8)]
+
+
+def test_pencil_route_reads_the_singular_values_from_the_overlaps(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the pencil route needs no Bloch decomposition")
+
+    monkeypatch.setattr(bloch, "bloch_decompose", forbidden)
+    monkeypatch.setattr(bloch, "correlation_svd", forbidden)
+    rng = np.random.default_rng(2)
+    state = StateVector.create(rng.normal(size=32) + 1j * rng.normal(size=32), (2, 4, 4))
+    report = classify_qubit_loss(state)
+    assert report.nf_iterations == 0
+    assert _criterion(report, "ky_fan").verdict is Verdict.DETECTED
 
 
 def _count_eigensolves(monkeypatch) -> list[int]:
