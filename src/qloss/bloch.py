@@ -97,9 +97,10 @@ class CorrelationSVD:
 
 
 class _PencilForm(DensityMatrix):
-    """A normal form built from the Gamma-block pencil by :func:`normal_form`:
-    sum_ij |ii><jj| <phi_j|phi_i> / N, kept with its factor, whose row ii is
-    phi_i / sqrt(N) and whose other rows are zero."""
+    """A normal form built from the Gamma-block pencil by :func:`normal_form`,
+    kept with its factor. On N x N it is sum_ij |ii><jj| <phi_j|phi_i> / N,
+    whose factor's row ii is phi_i / sqrt(N) and whose other rows are zero; on
+    N != M it is the balanced state of :func:`_balanced_form`."""
 
 
 def bloch_decompose(rho: DensityMatrix) -> BlochForm:
@@ -152,10 +153,11 @@ def reconstruct(bf: BlochForm) -> np.ndarray:
 
 
 def _no_rank2_normal_form(n: int, m: int) -> bool:
-    """True when 3N/2 < M < 2N (N <= M), where :func:`normal_form`'s
-    necessary condition rules out a normal form of rank at most 2."""
+    """True when N != M and |M - N| does not divide min(N, M), where King's
+    criterion rules out a normal form of rank at most 2 (see
+    :func:`normal_form`)."""
     small, large = sorted((n, m))
-    return 3 * small < 2 * large < 4 * small
+    return small < large and small % (large - small) != 0
 
 
 def _three_tangle(g: np.ndarray) -> float:
@@ -203,6 +205,49 @@ def _pencil_vectors(g: np.ndarray, bound: float) -> np.ndarray | None:
     return phi / np.linalg.norm(phi, axis=1, keepdims=True)
 
 
+def _l_eps_pencil(g: np.ndarray, bound: float) -> bool:
+    """True when the pencil g0 + t g1 of the (N, M, 2) factor ``g``, N < M
+    with k = M - N dividing N, is k copies of L_eps, eps = N / k: the square
+    (eps + 1) N x eps M block-Toeplitz matrix of the pencil on vector
+    polynomials of degree eps - 1 (g0 at block (d, d), g1 at block (d + 1,
+    d)) has condition number at most ``bound``. See :func:`normal_form`."""
+    n, m, _ = g.shape
+    eps = n // (m - n)
+    toeplitz = np.zeros(((eps + 1) * n, eps * m), dtype=complex)
+    for d in range(eps):
+        toeplitz[d * n:(d + 1) * n, d * m:(d + 1) * m] = g[..., 0]
+        toeplitz[(d + 1) * n:(d + 2) * n, d * m:(d + 1) * m] = g[..., 1]
+    return bool(np.linalg.cond(toeplitz) <= bound)
+
+
+@lru_cache(maxsize=None)
+def _balanced_form(n: int, m: int) -> tuple[_PencilForm, CorrelationSVD]:
+    """The normal form of every state on N x M, N != M, whose pencil is k =
+    |M - N| copies of L_eps (eps = min(N, M) / k), with its correlation
+    singular values; built on the first call for each shape.
+
+    Block b of the factor holds g0 = sum_i a_i |i, i> and g1 = sum_i b_i |i,
+    i+1> on rows b eps + i and columns b (eps + 1) + i (read transposed when
+    N > M), with a_i^2 = (eps - i) / (k eps (eps + 1)) and b_i^2 = (i + 1) /
+    (k eps (eps + 1)): each row weighs 1/N, each column 1/M, and the trace is 1.
+    """
+    small, large = sorted((n, m))
+    k = large - small
+    eps = small // k
+    norm = k * eps * (eps + 1)
+    rows = np.arange(small)
+    level = rows % eps
+    cols = rows + rows // eps
+    g = np.zeros((small, large, 2), dtype=complex)
+    g[rows, cols, 0] = np.sqrt((eps - level) / norm)
+    g[rows, cols + 1, 1] = np.sqrt((level + 1) / norm)
+    factor = (g if n < m else g.transpose(1, 0, 2)).reshape(n * m, 2)
+    factor.setflags(write=False)
+    sigma = _PencilForm._wrap(factor @ factor.conj().T, (n, m), factor)
+    tau = correlation_svd(bloch_decompose(sigma)).tau
+    return sigma, CorrelationSVD(dims=(n, m), tau=tau, notes=PENCIL_NOTE)
+
+
 def _normal_form_steps(
     rho: DensityMatrix,
     tol: float = NF_TOL,
@@ -233,12 +278,16 @@ def _normal_form_steps(
         raise NoConvergenceError(
             f"no normal form of rank {g.shape[2]} is reachable on {n} x {m}",
             iterations=0, reason="no_normal_form")
-    if rho._factor is not None and g.shape == (n, n, 2):
-        phi = _pencil_vectors(g, 1.0 / np.sqrt(rank_tol))
-        if phi is not None:
-            factor = np.zeros((n * n, 2), dtype=complex)
-            factor[:: n + 1] = phi / np.sqrt(n)
-            return _PencilForm._trusted(factor @ factor.conj().T, (n, n), factor=factor), 0
+    if rho._factor is not None and g.shape[2] == 2:
+        bound = 1.0 / np.sqrt(rank_tol)
+        if n == m:
+            phi = _pencil_vectors(g, bound)
+            if phi is not None:
+                factor = np.zeros((n * n, 2), dtype=complex)
+                factor[:: n + 1] = phi / np.sqrt(n)
+                return _PencilForm._wrap(factor @ factor.conj().T, (n, n), factor), 0
+        elif _l_eps_pencil(g if n < m else g.transpose(1, 0, 2), bound):
+            return _balanced_form(n, m)[0], 0
     history = [deviation]                # deviation after each completed step
     omega = 1.0
     stalled = 0
@@ -318,22 +367,50 @@ def normal_form(
     until both marginals are within ``tol`` (max-entry distance) of I/d. A
     state already within ``tol`` is returned as it is.
 
-    A state that kept a Gamma factor (the residual of a pure 2 x N x N
-    state) and has rank 2 on N x N is not filtered: its normal form comes in
-    closed form (the pencil route). Its Gram factor's columns g0, g1 are the
-    state's Gamma-block pencil. After a unitary mix of the columns (a
-    non-unitary one would change the state), g0 is invertible and D = g0^-1
-    g1 = V diag(lambda) V^-1; the filters V^-1 g0^-1 and V^T take the state
-    to sum_i |ii> (x) (|0> + lambda_i |1>), and rescaling each term gives the
-    normal form sum_ij |ii><jj| <phi_j|phi_i> / N with phi_i = (1, lambda_i)
-    / |(1, lambda_i)| (Chitambar, Duan and Shi, PRL 101, 140502), returned
-    with 0 iterations. The route's guard is that both g0 and V have
-    condition number at most 1/sqrt(rank_tol). It runs after the ``tol``
-    test and the ``no_normal_form`` rule below, so neither changes. Every
-    other state is filtered: dense input, N != M, rank other than 2, a
-    singular pencil (det(s g0 + t g1) = 0 for all s, t, as for the four-term
-    2x3x3 below) and a pencil that fails the guard (a defective D, or a
-    Gamma-factored W + eps|111> with a 3-tangle below about 1.8 rank_tol).
+    A state that kept a Gamma factor (the residual of a pure 2 x N x M
+    state) and has rank 2 is not filtered when its pencil passes a guard:
+    its normal form comes in closed form (the pencil route) and is returned
+    with 0 iterations. Its Gram factor's columns g0, g1 are the state's
+    Gamma-block pencil g0 + t g1, an N x M matrix pencil. The route runs
+    after the ``tol`` test and the ``no_normal_form`` rule below, so neither
+    changes.
+
+    On N x N, after a unitary mix of the columns (a non-unitary one would
+    change the state), g0 is invertible and D = g0^-1 g1 = V diag(lambda)
+    V^-1; the filters V^-1 g0^-1 and V^T take the state to sum_i |ii> (x)
+    (|0> + lambda_i |1>), and rescaling each term gives the normal form
+    sum_ij |ii><jj| <phi_j|phi_i> / N with phi_i = (1, lambda_i) / |(1,
+    lambda_i)| (Chitambar, Duan and Shi, PRL 101, 140502). The guard is that
+    both g0 and V have condition number at most 1/sqrt(rank_tol).
+
+    On N < M the rule below leaves only k = M - N dividing N; let eps = N /
+    k. A minimal index is a degree in the pencil's Kronecker canonical form
+    (KCF): blocks L_e = [I | 0] + t [0 | I] of size e x (e + 1), their
+    transposes L_e^T and a regular part. Let T be the square (eps + 1) N x
+    eps M block-Toeplitz matrix with g0 at block (d, d) and g1 at block
+    (d + 1, d), the pencil acting on vector polynomials of degree eps - 1.
+    If T is invertible, no L_e has e < eps, since its kernel polynomial of
+    degree e would lie in T's kernel. Counting then forces the KCF: with
+    blocks L_{e_i}, L^T_{h_j} and a regular part of size r, N = sum e_i +
+    sum (h_j + 1) + r and M = sum (e_i + 1) + sum h_j + r, so there are
+    k more L blocks than L^T blocks, and N >= sum e_i >= k eps = N makes
+    every inequality an equality: exactly k blocks L_eps, no L^T and no
+    regular part. The filters that take the pencil to its KCF, then filters
+    that are diagonal in each block, scale each block's g0 = sum_i |i, i>
+    and g1 = sum_i |i, i+1> to a_i and b_i with |a_i|^2 = (eps - i) / (k eps
+    (eps + 1)) and |b_i|^2 = (i + 1) / (k eps (eps + 1)), whose rows weigh
+    1/N and whose columns weigh 1/M: the balanced state, which depends only
+    on (N, M) and is built once per shape (normal forms of one filter orbit
+    agree up to local unitaries, which keep the correlation singular
+    values). The guard is cond(T) <= 1/sqrt(rank_tol). An N > M state is
+    read transposed.
+
+    Every other state is filtered: dense input, rank other than 2, a
+    singular N x N pencil (det(s g0 + t g1) = 0 for all s, t, as for the
+    four-term 2x3x3 below) and a pencil that fails its guard (a defective D;
+    a Gamma-factored W + eps|111> with a 3-tangle below about 1.8 rank_tol;
+    an N < M pencil with a minimal index below eps, such as L_1 + L_3 on
+    4 x 6, which has no normal form and stalls).
 
     The relaxation factor w adapts as the run goes (over-relaxed Sinkhorn
     scaling, Thibault et al., arXiv:1711.01851). The first 8 steps are a
@@ -367,15 +444,27 @@ def normal_form(
     so nothing is lost except the filtered-only criteria).
 
     Filtering keeps the rank, and some shapes have no normal form of rank 2,
-    which is the rank of every pure-state residual. Stacking the two Schmidt
-    matrices of a rank-2 normal form on N x M (N <= M) into a 2N x M block S
-    gives S^dag S = I/M; the complementary projector Q of M S S^dag has rank
-    2N - M and its two diagonal N x N blocks must sum to (2 - M/N) I_N,
-    which needs 2(2N - M) >= N. So M <= 3N/2 or M >= 2N is necessary (not
-    sufficient): random 2x3x5, 2x4x7 and 2x6x10 residuals never reach the
-    tolerance, while 2x2x3, 2x3x4, 2x4x6 and 2x6x9 converge. A state of rank
-    at most 2 on a shape that breaks the condition is reported as
-    ``no_normal_form`` without filtering.
+    which is the rank of every pure-state residual. The pencil of a rank-2
+    state is a representation of the Kronecker quiver (two arrows from C^M
+    to C^N) with dimension vector (N, M), the filters act on it by change of
+    basis, and maximally mixed marginals are a zero of the moment map. By
+    King's criterion (A. D. King, Q. J. Math. 45, 515 (1994)) the filter
+    orbit holds a normal form exactly when the representation is
+    polystable: a direct sum of stable representations whose dimension
+    vectors are all proportional to (N, M). A stable representation is a
+    brick, so its dimension vector (x, y) is a Schur root, and the Kronecker
+    quiver's roots satisfy (x - y)^2 <= 1: (n, n + 1), (n + 1, n) or (1, 1).
+    For N < M only (eps, eps + 1) with eps / (eps + 1) = N / M is
+    proportional, so the state has a normal form exactly when k = M - N
+    divides N and the pencil is k copies of the stable L_eps, eps = N / k,
+    the pencil route's case. On N = M only (1, 1) is proportional: the
+    polystable pencils are the diagonalisable regular ones that the N x N
+    route takes, and a W-class or singular pencil is not one. This is
+    necessary and sufficient for rank 2. A state of rank at most 2 on N x M,
+    N != M, with |M - N| not dividing min(N, M) is reported as
+    ``no_normal_form`` without filtering: 2x3x5, 2x4x7, 2x5x7, 2x7x9 and
+    2x7x10 residuals among others (this contains 3N/2 < M < 2N, where N /
+    (M - N) lies strictly between 1 and 2).
 
     Special states fail too. A rank-2 two-qubit state G G^dag is W-class
     when its purification sum_k |k> (x) g_k has zero 3-tangle 4 |b^2 - 4ac|
@@ -399,14 +488,17 @@ def normal_form(
 def _normal_form_svd(rho: DensityMatrix) -> CorrelationSVD:
     """:func:`correlation_svd` of a state from :func:`_normal_form_steps`.
 
-    On a normal form built from the pencil the singular values follow from
-    the overlaps of its vectors, with no Bloch decomposition: 2 |<phi_p|phi_q>|
-    / N twice for each pair p < q (the factor's rows hold phi_i / sqrt(N)),
-    and N - 1 copies of 2/N.
+    On an N x N normal form built from the pencil the singular values follow
+    from the overlaps of its vectors, with no Bloch decomposition: 2
+    |<phi_p|phi_q>| / N twice for each pair p < q (the factor's rows hold
+    phi_i / sqrt(N)), and N - 1 copies of 2/N. On N != M they are the
+    balanced state's, computed once per shape.
     """
     if not isinstance(rho, _PencilForm):
         return correlation_svd(bloch_decompose(rho))
-    n = rho.dims[0]
+    n, m = rho.dims
+    if n != m:
+        return _balanced_form(n, m)[1]
     rows = rho._factor[:: n + 1]
     pairs = 2.0 * np.abs(rows.conj() @ rows.T)[np.triu_indices(n, 1)]
     tau = np.concatenate([pairs, pairs, np.full(n - 1, 2.0 / n)])

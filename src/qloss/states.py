@@ -119,7 +119,12 @@ class DensityMatrix:
     def _trusted(cls, matrix, dims, factor: np.ndarray | None = None) -> "DensityMatrix":
         """Symmetrize and renormalize like :meth:`create`, but check nothing;
         ``factor``, if given, is a Gram factor of ``matrix``."""
-        mat = _unit_trace(np.asarray(matrix, dtype=complex))
+        return cls._wrap(_unit_trace(np.asarray(matrix, dtype=complex)), dims, factor)
+
+    @classmethod
+    def _wrap(cls, mat: np.ndarray, dims, factor: np.ndarray | None = None) -> "DensityMatrix":
+        """Wrap a complex matrix that is Hermitian with unit trace by
+        construction, as it is: no symmetrization, rescaling or check."""
         mat.setflags(write=False)
         rho = object.__new__(cls)
         vars(rho).update(dims=tuple(int(d) for d in dims), matrix=mat, _factor=factor)

@@ -221,11 +221,13 @@ def test_shapes_without_a_rank2_normal_form_stop_before_filtering(index):
     assert (err.value.reason, err.value.iterations) == ("no_normal_form", 0)
 
 
-@pytest.mark.parametrize("dims", [(3, 5), (4, 7)])
+@pytest.mark.parametrize("dims", [(3, 5), (4, 7), (5, 7), (7, 9)])
 def test_rank2_residuals_never_reach_a_normal_form_when_3n_2_lt_m_lt_2n(dims, monkeypatch):
-    # pins the necessary condition behind the no_normal_form shortcut: with
-    # the shortcut off, neither the plain nor the relaxed loop gets there,
-    # and the relaxed loop's back-off leaves the stall detector working
+    # pins King's criterion behind the no_normal_form shortcut, on shapes
+    # with 3N/2 < M < 2N and on 5x7 and 7x9, where M - N does not divide N
+    # either: with the shortcut off, neither the plain nor the relaxed loop
+    # gets there, and the relaxed loop's back-off leaves the stall detector
+    # working
     assert bloch._no_rank2_normal_form(*dims)
     monkeypatch.setattr(bloch, "_no_rank2_normal_form", lambda n, m: False)
     rng = np.random.default_rng(17)
@@ -476,6 +478,101 @@ def test_pencil_normal_form_has_maximally_mixed_marginals(n):
     for side in (0, 1):
         marginal = partial_trace(filtered, [side]).matrix
         assert np.abs(marginal - np.eye(n) / n).max() <= 1e-12
+
+
+def _kronecker_shapes():
+    """(N, M) with 2 <= N < M <= 9, N <= 6 and M - N dividing N."""
+    return [(n, m) for n in range(2, 7) for m in range(n + 1, min(2 * n, 9) + 1)
+            if n % (m - n) == 0]
+
+
+@st.composite
+def _kronecker_inputs(draw):
+    """Gaussian 2 x N x M states on the shapes of :func:`_kronecker_shapes`:
+    as drawn, under random local unitaries on all three parties, or with the
+    two Gamma blocks mixed by a random unitary."""
+    n, m = draw(st.sampled_from(_kronecker_shapes()))
+    kind = draw(st.sampled_from(["gaussian", "local_unitaries", "column_mix"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    blocks = rng.normal(size=(2, n, m)) + 1j * rng.normal(size=(2, n, m))
+    if kind == "local_unitaries":
+        a, b = random_unitary_oracle(rng, n), random_unitary_oracle(rng, m)
+        blocks = np.einsum("kl,lij->kij", random_unitary_oracle(rng, 2), a @ blocks @ b.T)
+    elif kind == "column_mix":
+        blocks = np.einsum("kl,lij->kij", random_unitary_oracle(rng, 2), blocks)
+    return StateVector.create(blocks.reshape(-1), (2, n, m))
+
+
+@settings(max_examples=40, deadline=None, database=None, derandomize=True)
+@given(_kronecker_inputs())
+def test_kronecker_pencil_ky_fan_matches_the_sinkhorn_oracle(state):
+    assert _pencil_ky_fan(state).statistic == pytest.approx(_oracle_ky_fan(state), rel=1e-10)
+
+
+L3_KET = "|000> + |011> + |022> + |101> + |112> + |123>"
+
+
+def test_kronecker_pencil_takes_the_l3_ket_to_its_filtered_value():
+    # the pencil is the single block L_3 = [I | 0] + t [0 | I] on 3 x 4
+    state = parse_ket(L3_KET, (2, 3, 4))
+    kf = _pencil_ky_fan(state)
+    assert kf.statistic == pytest.approx(13.121638910345695, rel=1e-12)
+    dense = classify_residual(_residual(state))
+    assert dense.nf_iterations > 0
+    assert kf.statistic == pytest.approx(_ky_fan(dense).statistic, rel=1e-12)
+
+
+def test_kronecker_pencil_with_a_small_minimal_index_still_filters():
+    # L_1 + L_3 on 4 x 6: M - N = 2 divides N, but the pencil is not 2 L_2,
+    # so it has no normal form; it fails the guard and stalls
+    ket = "|000> + |012> + |023> + |034> + |101> + |113> + |124> + |135>"
+    report = classify_qubit_loss(parse_ket(ket, (2, 4, 6)))
+    assert report.reduced_dims == (4, 6)
+    assert (report.normal_form_status, report.nf_stop) == ("diverged", "stalled")
+
+
+def test_kronecker_pencil_reports_no_normal_form_where_m_minus_n_does_not_divide_n():
+    # L_2 + L_3 on 5 x 7: polystable would need 2 | 5
+    ket = ("|000> + |011> + |023> + |034> + |045> "
+           "+ |101> + |112> + |124> + |135> + |146>")
+    report = classify_qubit_loss(parse_ket(ket, (2, 5, 7)))
+    assert report.reduced_dims == (5, 7)
+    assert (report.nf_stop, report.nf_iterations) == ("no_normal_form", 0)
+
+
+@pytest.mark.parametrize("dims", [(2, 2), (3, 3), (2, 3), (3, 4), (4, 6), (6, 9), (4, 3)])
+def test_pencil_routes_never_filter(dims, monkeypatch):
+    # (4, 3) is an N > M residual, read transposed
+    def refuse(*args):
+        raise AssertionError("the pencil route filtered")
+    monkeypatch.setattr(bloch.numerics, "inv_sqrt_psd", refuse)
+    n, m = dims
+    for seed in range(3):
+        rho = _gamma_residual(_draw([n * m, seed], [(n, m)], 0))
+        assert _normal_form_steps(rho)[1] == 0
+
+
+@pytest.mark.parametrize("dims", [(2, 2), (5, 5), (2, 3), (3, 4), (4, 8), (6, 8), (4, 3)])
+def test_pencil_normal_form_is_a_unit_trace_hermitian_normal_form(dims):
+    n, m = dims
+    rho = _gamma_residual(_draw([n * m, 11], [(n, m)], 0))
+    filtered = normal_form(rho)
+    mat = filtered.matrix
+    assert np.abs(mat - mat.conj().T).max() <= 1e-14
+    assert abs(np.trace(mat) - 1.0) <= 1e-14
+    for side, d in ((0, n), (1, m)):
+        marginal = partial_trace(filtered, [side]).matrix
+        assert np.abs(marginal - np.eye(d) / d).max() <= 1e-12
+
+
+def test_kronecker_pencil_on_n_gt_m_matches_the_sinkhorn_oracle():
+    state = _draw(3, [(6, 4)], 0)
+    rho = _gamma_residual(state)
+    filtered, steps = _normal_form_steps(rho)
+    assert (steps, filtered.dims) == (0, (6, 4))
+    csvd = bloch._normal_form_svd(filtered)
+    assert csvd.notes == PENCIL_NOTE
+    assert kf_criterion(csvd).statistic == pytest.approx(_oracle_ky_fan(state), rel=1e-10)
 
 
 def test_correlation_svd_zero_matrix():
