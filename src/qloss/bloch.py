@@ -97,10 +97,10 @@ class CorrelationSVD:
 
 
 class _PencilForm(DensityMatrix):
-    """A normal form built from the Gamma-block pencil by :func:`normal_form`,
-    kept with its factor. On N x N it is sum_ij |ii><jj| <phi_j|phi_i> / N,
-    whose factor's row ii is phi_i / sqrt(N) and whose other rows are zero; on
-    N != M it is the balanced state of :func:`_balanced_form`."""
+    """A normal form that :func:`normal_form` builds from the pencil of a
+    rank-2 state, kept with its factor. On N x N it is sum_ij |ii><jj|
+    <phi_j|phi_i> / N (factor row ii is phi_i / sqrt(N), other rows zero);
+    on N != M it is the balanced state of :func:`_balanced_form`."""
 
 
 def bloch_decompose(rho: DensityMatrix) -> BlochForm:
@@ -251,7 +251,6 @@ def _balanced_form(n: int, m: int) -> tuple[_PencilForm, CorrelationSVD]:
 def _normal_form_steps(
     rho: DensityMatrix,
     tol: float = NF_TOL,
-    max_iter: int = NF_MAX_ITER,
     rank_tol: float = numerics.RANK_TOL,
 ) -> tuple[DensityMatrix, int]:
     """Filtering loop; returns the filtered state and the iteration count (0
@@ -278,7 +277,7 @@ def _normal_form_steps(
         raise NoConvergenceError(
             f"no normal form of rank {g.shape[2]} is reachable on {n} x {m}",
             iterations=0, reason="no_normal_form")
-    if rho._factor is not None and g.shape[2] == 2:
+    if g.shape[2] == 2:
         bound = 1.0 / np.sqrt(rank_tol)
         if n == m:
             phi = _pencil_vectors(g, bound)
@@ -291,7 +290,7 @@ def _normal_form_steps(
     history = [deviation]                # deviation after each completed step
     omega = 1.0
     stalled = 0
-    for iteration in range(max_iter):
+    for iteration in range(NF_MAX_ITER):
         if deviation <= tol:
             flat = g.reshape(n * m, -1)
             return DensityMatrix._trusted(flat @ flat.conj().T, (n, m)), iteration
@@ -348,14 +347,13 @@ def _normal_form_steps(
             float(np.abs(rho_a - eye_a).max()), float(np.abs(rho_b - eye_b).max()))
         history.append(deviation)
     raise NoConvergenceError(
-        f"normal form not reached within {max_iter} iterations",
-        iterations=max_iter, reason="cap")
+        f"normal form not reached within {NF_MAX_ITER} iterations",
+        iterations=NF_MAX_ITER, reason="cap")
 
 
 def normal_form(
     rho: DensityMatrix,
     tol: float = NF_TOL,
-    max_iter: int = NF_MAX_ITER,
     rank_tol: float = numerics.RANK_TOL,
 ) -> DensityMatrix:
     """Filter a full-local-rank state to maximally mixed marginals.
@@ -367,13 +365,13 @@ def normal_form(
     until both marginals are within ``tol`` (max-entry distance) of I/d. A
     state already within ``tol`` is returned as it is.
 
-    A state that kept a Gamma factor (the residual of a pure 2 x N x M
-    state) and has rank 2 is not filtered when its pencil passes a guard:
-    its normal form comes in closed form (the pencil route) and is returned
-    with 0 iterations. Its Gram factor's columns g0, g1 are the state's
-    Gamma-block pencil g0 + t g1, an N x M matrix pencil. The route runs
-    after the ``tol`` test and the ``no_normal_form`` rule below, so neither
-    changes.
+    A state of rank 2, from a ket or a dense matrix alike, is not filtered
+    when its pencil passes a guard: its normal form comes in closed form
+    (the pencil route) and is returned with 0 iterations. A qubit purifies
+    it, so its Gram factor's columns g0, g1 are Gamma blocks up to a unitary
+    mix: the Gamma-block pencil g0 + t g1, an N x M matrix pencil. The route
+    runs after the ``tol`` test and the ``no_normal_form`` rule below, so
+    neither changes.
 
     On N x N, after a unitary mix of the columns (a non-unitary one would
     change the state), g0 is invertible and D = g0^-1 g1 = V diag(lambda)
@@ -405,12 +403,12 @@ def normal_form(
     values). The guard is cond(T) <= 1/sqrt(rank_tol). An N > M state is
     read transposed.
 
-    Every other state is filtered: dense input, rank other than 2, a
-    singular N x N pencil (det(s g0 + t g1) = 0 for all s, t, as for the
-    four-term 2x3x3 below) and a pencil that fails its guard (a defective D;
-    a Gamma-factored W + eps|111> with a 3-tangle below about 1.8 rank_tol;
-    an N < M pencil with a minimal index below eps, such as L_1 + L_3 on
-    4 x 6, which has no normal form and stalls).
+    Every other state is filtered: rank other than 2, a singular N x N
+    pencil (det(s g0 + t g1) = 0 for all s, t, as for the four-term 2x3x3
+    below) and a pencil that fails its guard (a defective D; W + eps|111>
+    with a 3-tangle below about 1.8 rank_tol; an N < M pencil with a minimal
+    index below eps, such as L_1 + L_3 on 4 x 6, which has no normal form
+    and stalls).
 
     The relaxation factor w adapts as the run goes (over-relaxed Sinkhorn
     scaling, Thibault et al., arXiv:1711.01851). The first 8 steps are a
@@ -477,11 +475,12 @@ def normal_form(
     W-class range (a double root of the pencil) holds exactly one, and
     invertible filters preserve that count. A rank-2 two-qubit state with a
     3-tangle at most ``rank_tol`` is reported as ``no_normal_form`` without
-    filtering; filtered states just above it approach I/d ever more slowly
-    and run to the cap (W + eps|111> does up to a 3-tangle of about 6e-4). The
-    four-term 2x3x3 residual stalls at deviation 1/3.
+    filtering. States just above it take the pencil route, except in a guard
+    band up to about 1.8 rank_tol, where filtering runs to the cap (it would
+    up to a 3-tangle of about 6e-4 along W + eps|111>). The four-term 2x3x3
+    residual stalls at deviation 1/3.
     """
-    filtered, _ = _normal_form_steps(rho, tol=tol, max_iter=max_iter, rank_tol=rank_tol)
+    filtered, _ = _normal_form_steps(rho, tol=tol, rank_tol=rank_tol)
     return filtered
 
 

@@ -7,8 +7,8 @@ the residual N x M mixed state (qubit traced out) is still entangled, and
 1. the residual after losing the qubit (subsystem 0), from the Gamma blocks,
 2. support reduction to full local ranks (entanglement-preserving),
 3. the PPT/negativity test,
-4. normal-form filtering, then the Ky Fan criterion on success (the
-   length-bound statistic is recorded informationally),
+4. the normal form (from the pencil at rank 2, else by filtering), then
+   Ky Fan on success (the length-bound statistic is informational),
 5. measures (negativity always; concurrence from the one dispatch
    :func:`qloss.criteria.concurrence`: exact for 2 x 2 or pure residuals,
    a convex-roof upper bound when a budget is supplied),
@@ -358,9 +358,9 @@ def sweep(
 
     ``grid`` maps parameter names to value sequences; ``fixed`` holds
     scalar parameters shared by every point. Points are evaluated in order,
-    and each derives its own sub-seed from (seed, point index), so a point's
-    result depends only on its parameters and index. Per-point failures are
-    recorded inline and the sweep continues.
+    and each records the sub-seed (seed, point index) as ``sub_seed``, but
+    runs, its roof search included, with ``seed`` itself. Per-point failures
+    are recorded inline and the sweep continues.
     """
     if family not in SWEEP_FAMILIES:
         raise InvalidParamsError(

@@ -4,7 +4,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from qloss import (
@@ -29,7 +29,8 @@ from qloss import (
 from qloss import bloch
 from qloss.bloch import NF_MAX_ITER, NF_TOL, PENCIL_NOTE, _normal_form_steps
 from qloss.criteria import Verdict, kf_criterion
-from qloss.errors import NoConvergenceError, RankDeficientError
+from qloss.cli import report_to_dict
+from qloss.errors import NoConvergenceError, NotPSDError, RankDeficientError
 from qloss.numerics import RANK_TOL
 from qloss.states import _gamma_residual
 from qloss.su_basis import generators
@@ -195,18 +196,17 @@ def _draw(seed, dims, index):
     _draw(5, [(12, 12)], 0),
     _draw([4, 2], [(12, 12), (13, 13), (14, 14)], 2),
 ], ids=["2x12x12_rng5", "2x14x14_rng4_2"])
-def test_relaxed_filtering_converges_where_unrelaxed_hits_the_cap(state):
-    # both need more than NF_MAX_ITER unrelaxed steps; the dense residual,
-    # since the Gamma-factored one takes the pencil route
+def test_relaxed_filtering_converges_where_unrelaxed_hits_the_cap(state, filtering_only):
+    # both need more than NF_MAX_ITER unrelaxed steps
     report = classify_residual(_residual(state))
     assert report.normal_form_status == "converged"
     assert report.nf_iterations < NF_MAX_ITER
     assert "ky_fan" in [c.name for c in report.criteria]
 
 
-def test_adapted_relaxation_converges_on_the_probe_misread_input():
+def test_adapted_relaxation_converges_on_the_probe_misread_input(filtering_only):
     # the probe reads this input's rate too low; with the relaxation factor
-    # fixed after it, the input needed 837 steps (dense, so it is filtered)
+    # fixed after it, the input needed 837 steps
     report = classify_residual(_residual(_draw([9, 2], [(12, 12)], 0)))
     assert report.normal_form_status == "converged"
     assert report.nf_iterations <= 250
@@ -222,7 +222,8 @@ def test_shapes_without_a_rank2_normal_form_stop_before_filtering(index):
 
 
 @pytest.mark.parametrize("dims", [(3, 5), (4, 7), (5, 7), (7, 9)])
-def test_rank2_residuals_never_reach_a_normal_form_when_3n_2_lt_m_lt_2n(dims, monkeypatch):
+def test_rank2_residuals_never_reach_a_normal_form_when_3n_2_lt_m_lt_2n(
+        dims, monkeypatch, filtering_only):
     # pins King's criterion behind the no_normal_form shortcut, on shapes
     # with 3N/2 < M < 2N and on 5x7 and 7x9, where M - N does not divide N
     # either: with the shortcut off, neither the plain nor the relaxed loop
@@ -263,9 +264,10 @@ def _filtering_inputs(draw):
     return _residual(StateVector.create(amps, (2, n, m)))
 
 
-@settings(max_examples=60, deadline=None, database=None, derandomize=True)
+@settings(max_examples=60, deadline=None, database=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(_filtering_inputs())
-def test_relaxed_filtering_never_needs_more_steps_than_unrelaxed(rho):
+def test_relaxed_filtering_never_needs_more_steps_than_unrelaxed(filtering_only, rho):
     want, want_steps = sinkhorn_oracle(rho.matrix, rho.dims)
     if want is None:
         return
@@ -302,9 +304,10 @@ def _normal_form_inputs(draw):
     return _residual(StateVector.create(amps, (2, n, m)))
 
 
-@settings(max_examples=40, deadline=None, database=None, derandomize=True)
+@settings(max_examples=40, deadline=None, database=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(_normal_form_inputs())
-def test_adapted_relaxation_stays_near_the_best_fixed_factor(rho):
+def test_adapted_relaxation_stays_near_the_best_fixed_factor(filtering_only, rho):
     want, _ = sinkhorn_oracle(rho.matrix, rho.dims, max_iter=2000)
     if want is None:
         return
@@ -512,11 +515,12 @@ def test_kronecker_pencil_ky_fan_matches_the_sinkhorn_oracle(state):
 L3_KET = "|000> + |011> + |022> + |101> + |112> + |123>"
 
 
-def test_kronecker_pencil_takes_the_l3_ket_to_its_filtered_value():
+def test_kronecker_pencil_takes_the_l3_ket_to_its_filtered_value(request):
     # the pencil is the single block L_3 = [I | 0] + t [0 | I] on 3 x 4
     state = parse_ket(L3_KET, (2, 3, 4))
     kf = _pencil_ky_fan(state)
     assert kf.statistic == pytest.approx(13.121638910345695, rel=1e-12)
+    request.getfixturevalue("filtering_only")
     dense = classify_residual(_residual(state))
     assert dense.nf_iterations > 0
     assert kf.statistic == pytest.approx(_ky_fan(dense).statistic, rel=1e-12)
@@ -573,6 +577,92 @@ def test_kronecker_pencil_on_n_gt_m_matches_the_sinkhorn_oracle():
     csvd = bloch._normal_form_svd(filtered)
     assert csvd.notes == PENCIL_NOTE
     assert kf_criterion(csvd).statistic == pytest.approx(_oracle_ky_fan(state), rel=1e-10)
+
+
+@st.composite
+def _ket_inputs(draw):
+    """Gaussian 2 x N x M states with N = M <= 6, on the shapes of
+    :func:`_kronecker_shapes`, or on 2 x 4 x 4 with a second qunit that
+    keeps 3 levels, whose residual reduces to 4 x 3 (N > M)."""
+    kind = draw(st.sampled_from(["square", "kronecker", "n_gt_m"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if kind == "n_gt_m":
+        blocks = rng.normal(size=(2, 4, 3)) + 1j * rng.normal(size=(2, 4, 3))
+        blocks = blocks @ random_unitary_oracle(rng, 4)[:3]
+        return StateVector.create(blocks.reshape(-1), (2, 4, 4))
+    if kind == "square":
+        n = m = draw(st.integers(2, 6))
+    else:
+        n, m = draw(st.sampled_from(_kronecker_shapes()))
+    amps = rng.normal(size=2 * n * m) + 1j * rng.normal(size=2 * n * m)
+    return StateVector.create(amps, (2, n, m))
+
+
+@settings(max_examples=50, deadline=None, database=None, derandomize=True)
+@given(_ket_inputs())
+def test_ket_and_its_dense_residual_take_the_same_route(state):
+    # the route depends on the residual's rank and pencil, not on whether
+    # it kept the Gamma blocks as its factor
+    ket = classify_qubit_loss(state)
+    dense = classify_residual(_residual(state))
+    assert ket.reduced_dims == dense.reduced_dims
+    assert ((ket.normal_form_status, ket.nf_iterations, ket.nf_stop)
+            == (dense.normal_form_status, dense.nf_iterations, dense.nf_stop))
+    assert ket.classification is dense.classification
+    assert _ky_fan(ket).statistic == pytest.approx(_ky_fan(dense).statistic, rel=1e-12)
+
+
+def _rank3_residual():
+    rng = np.random.default_rng(6)
+    a = rng.normal(size=(9, 3)) + 1j * rng.normal(size=(9, 3))
+    return DensityMatrix.create(a @ a.conj().T, (3, 3))
+
+
+def _filter_failing_at(k, monkeypatch):
+    """Make the k-th filter of a run (two per step, F_A then F_B) raise
+    :class:`NotPSDError`, as a marginal that left the PSD cone does."""
+    inv_sqrt_psd = bloch.numerics.inv_sqrt_psd
+    calls = []
+
+    def failing(*args):
+        calls.append(args)
+        if len(calls) == k:
+            raise NotPSDError("negative eigenvalue")
+        return inv_sqrt_psd(*args)
+
+    monkeypatch.setattr(bloch.numerics, "inv_sqrt_psd", failing)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 12])
+def test_filtering_breakdown_reports_the_step_it_broke_at(k, monkeypatch):
+    # the input needs 24 steps, so every k here falls inside the run
+    _filter_failing_at(k, monkeypatch)
+    with pytest.raises(NoConvergenceError) as err:
+        _normal_form_steps(_rank3_residual())
+    assert (err.value.reason, err.value.iterations) == ("breakdown", (k - 1) // 2)
+    assert "broke down" in str(err.value)
+
+
+def test_filtering_that_collapses_the_state_is_a_breakdown(monkeypatch):
+    monkeypatch.setattr(bloch.numerics, "inv_sqrt_psd", lambda h, *args: np.zeros_like(h))
+    with pytest.raises(NoConvergenceError) as err:
+        _normal_form_steps(_rank3_residual())
+    assert (err.value.reason, err.value.iterations) == ("breakdown", 0)
+    assert "collapsed" in str(err.value)
+
+
+def test_filtering_breakdown_keeps_the_ppt_evidence(monkeypatch):
+    rho = _rank3_residual()
+    want = classify_residual(rho)
+    _filter_failing_at(5, monkeypatch)
+    report = classify_residual(rho)
+    assert (report.normal_form_status, report.nf_stop, report.nf_iterations) == (
+        "diverged", "breakdown", 2)
+    assert report.criteria == want.criteria[:1]
+    assert report.criteria[0].verdict is Verdict.DETECTED
+    assert report.classification is want.classification
+    assert report_to_dict(report)["normal_form"] == {
+        "status": "diverged", "iterations": 2, "stop": "breakdown"}
 
 
 def test_correlation_svd_zero_matrix():

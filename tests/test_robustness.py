@@ -163,10 +163,9 @@ def _w_plus_1e6():
     return StateVector.create(amps, (2, 2, 2))
 
 
-def test_filtering_at_the_cap_reports_its_stop_reason():
+def test_filtering_at_the_cap_reports_its_stop_reason(filtering_only):
     # W + 1e-6|111> has 3-tangle ~3e-6: above the W-class test, but so close
-    # to the boundary of the normal forms that filtering runs to the cap. The
-    # dense copy of the residual is filtered; the ket takes the pencil route
+    # to the boundary of the normal forms that filtering runs to the cap
     g = _w_plus_1e6().amplitudes.reshape(2, 4).T
     report = classify_residual(DensityMatrix.create(g @ g.conj().T, (2, 2)))
     assert report.normal_form_status == "diverged"
@@ -242,7 +241,7 @@ def test_ky_fan_runs_on_generic_2xNxN_input(n):
         assert np.abs(marginal.matrix - np.eye(n) / n).max() <= NF_TOL
 
 
-def test_classify_residual_decomposes_t_once(monkeypatch):
+def test_classify_residual_decomposes_t_once(monkeypatch, filtering_only):
     # Ky Fan and the length bound read one singular-value pass of t
     import sys
 
