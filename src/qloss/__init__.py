@@ -65,10 +65,8 @@ from .robustness import (
 )
 from .states import (
     DensityMatrix,
-    DimSpec,
     StateFile,
     StateVector,
-    as_tripartite,
     density,
     parse_ket,
     parse_state_file,

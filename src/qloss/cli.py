@@ -37,7 +37,14 @@ from .robustness import (
     fig1_scatter,
     sweep,
 )
-from .states import StateFile, density, parse_ket, partial_trace, read_state_file
+from .states import (
+    StateFile,
+    _check_tripartite_dims,
+    density,
+    parse_ket,
+    partial_trace,
+    read_state_file,
+)
 from .su_basis import generators
 
 SCHEMA_VERSION = "1.0"
@@ -200,6 +207,8 @@ def _cmd_analyze(args) -> int:
                 "format": content.kind,
                 "text": content.text,
             }
+        if len(content.dims) != 2:
+            _check_tripartite_dims(content.dims)
     except FileNotFoundError as exc:
         sys.stderr.write(f"analyze: {exc}\n")
         return EX_DATAERR

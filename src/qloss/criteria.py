@@ -191,13 +191,6 @@ def _pure_concurrence_unnormalized(column: np.ndarray, n: int, m: int) -> float:
     return p * np.sqrt(max(0.0, 2.0 * (1.0 - purity / (p * p))))
 
 
-def _orthonormal_columns(x: np.ndarray) -> np.ndarray:
-    q, r = np.linalg.qr(x)
-    d = np.diagonal(r).copy()
-    d = np.where(np.abs(d) > 1e-300, d / np.abs(d), 1.0)
-    return q * d
-
-
 def concurrence_roof(rho: DensityMatrix, budget: RoofBudget,
                      rank_tol: float = numerics.RANK_TOL) -> MeasureValue:
     """Convex-roof upper bound on the concurrence of a bipartite mixed state.
@@ -229,11 +222,11 @@ def concurrence_roof(rho: DensityMatrix, budget: RoofBudget,
         rng = np.random.default_rng(
             np.random.SeedSequence([budget.seed & (2**63 - 1), restart]))
         x = rng.normal(size=(size, rank)) + 1j * rng.normal(size=(size, rank))
-        value = cost(_orthonormal_columns(x))
+        value = cost(numerics._phase_fixed_qr(x))
         step = 0.5
         for _ in range(budget.iterations):
             proposal = x + step * (rng.normal(size=x.shape) + 1j * rng.normal(size=x.shape))
-            trial = cost(_orthonormal_columns(proposal))
+            trial = cost(numerics._phase_fixed_qr(proposal))
             if trial < value:
                 x, value = proposal, trial
             else:

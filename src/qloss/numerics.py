@@ -39,6 +39,17 @@ def dagger(m: np.ndarray) -> np.ndarray:
     return m.conj().swapaxes(-1, -2)
 
 
+def _phase_fixed_qr(x: np.ndarray) -> np.ndarray:
+    """Q of the QR decomposition of a matrix, or of each matrix of a stack,
+    with each column's phase fixed by R's diagonal; a column whose diagonal
+    entry is zero keeps its phase. On square complex Gaussian input the
+    result is Haar distributed."""
+    q, r = np.linalg.qr(x)
+    d = np.diagonal(r, axis1=-2, axis2=-1)
+    d = np.where(np.abs(d) > 1e-300, d / np.abs(d), 1.0)
+    return q * d[..., None, :]
+
+
 def _is_square(m: np.ndarray) -> bool:
     return m.ndim >= 2 and m.shape[-1] == m.shape[-2]
 

@@ -55,8 +55,8 @@ from .errors import (
 from .states import (
     DensityMatrix,
     StateVector,
+    _check_tripartite_dims,
     _gamma_residual,
-    as_tripartite,
     normalize_density,
     reduce_support,
 )
@@ -105,7 +105,9 @@ def classify_residual(
     seed: int = 0,
     input_info: dict | None = None,
 ) -> RobustnessReport:
-    """Run the detection pipeline on an already-reduced bipartite state."""
+    """Run the detection pipeline on a bipartite state: reduce it to the
+    support of its marginals, then run steps 3-5 of the module docstring on
+    the reduced state and pool the verdicts."""
     timings: dict[str, float] = {}
     start = time.perf_counter()
 
@@ -178,19 +180,22 @@ def classify_qubit_loss(
 ) -> RobustnessReport:
     """Classify a 2 x N x M pure state as Robust/Fragile/Undetermined.
 
-    The qubit is always subsystem 0. Qunit dimensions arriving as N > M are
-    swapped (and flagged in the report); the classification is invariant
-    under local unitaries, so the swap is harmless.
+    The qubit is always subsystem 0. Raises :class:`DimensionMismatchError`
+    or :class:`InvalidDimensionError` unless the dims are 2 x N x M. Qunit
+    dimensions arriving as N > M are swapped by transposing the two Gamma
+    blocks, and flagged in the report; the classification is invariant under
+    local unitaries, so the swap is harmless.
     """
     tick = time.perf_counter()
-    canonical, spec = as_tripartite(state)
-    rho = _gamma_residual(canonical)
+    _check_tripartite_dims(state.dims)
+    _, n, m = state.dims
+    swapped = n > m
+    if swapped:
+        gammas = state.amplitudes.reshape(2, n, m).transpose(0, 2, 1)
+        state = StateVector((2, m, n), gammas.reshape(-1))
+    rho = _gamma_residual(state)
     trace_ms = (time.perf_counter() - tick) * 1e3
-    info = {
-        "kind": "tripartite_pure",
-        "dims": [spec.d0, spec.d1, spec.d2],
-        "swapped": spec.swapped,
-    }
+    info = {"kind": "tripartite_pure", "dims": list(state.dims), "swapped": swapped}
     report = classify_residual(
         rho, rank_tol=rank_tol, nf_tol=nf_tol, roof_budget=roof_budget, seed=seed,
         input_info=info)
@@ -386,17 +391,10 @@ def _ginibre(dim: int, rng: np.random.Generator) -> np.ndarray:
     return rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
 
 
-def _haar(z: np.ndarray) -> np.ndarray:
-    """Haar unitaries from a stack of complex Gaussian matrices, by phase-fixed QR."""
-    q, r = np.linalg.qr(z)
-    d = np.diagonal(r, axis1=-2, axis2=-1)
-    return q * (d / np.abs(d))[..., None, :]
-
-
 def _mixed(z: np.ndarray, spectra: np.ndarray) -> np.ndarray:
     """Unnormalised mixed states: the Haar eigenbasis of each Gaussian matrix
     of the stack ``z`` with the eigenvalues in the matching row of ``spectra``."""
-    u = _haar(z)
+    u = numerics._phase_fixed_qr(z)
     return (u * spectra[..., None, :]) @ numerics.dagger(u)
 
 

@@ -25,34 +25,6 @@ NORM_ATOL = 1e-12
 
 
 @dataclass(frozen=True)
-class DimSpec:
-    """Dimensions of a tripartite qubit x N x M system, with N <= M.
-
-    Inputs given as (2, a, b) with a > b are stored swapped and flagged, so
-    downstream code can always assume the smaller qunit comes first.
-    """
-
-    d0: int
-    d1: int
-    d2: int
-    swapped: bool = False
-
-    def __post_init__(self):
-        if self.d0 != 2:
-            raise InvalidDimensionError(f"first subsystem must be a qubit, got {self.d0}")
-        if not (2 <= self.d1 <= self.d2):
-            raise InvalidDimensionError(
-                f"qunit dimensions must satisfy 2 <= N <= M, got ({self.d1}, {self.d2})")
-
-    @classmethod
-    def from_dims(cls, dims) -> "DimSpec":
-        d0, d1, d2 = (int(d) for d in dims)
-        if d1 > d2:
-            return cls(d0, d2, d1, swapped=True)
-        return cls(d0, d1, d2)
-
-
-@dataclass(frozen=True)
 class StateVector:
     """Normalized pure state over a tensor-product basis."""
 
@@ -180,20 +152,16 @@ def _check_unit_psd(mat: np.ndarray) -> None:
                        what="density matrix")
 
 
-def as_tripartite(state: StateVector) -> tuple[StateVector, DimSpec]:
-    """Validate a 2 x N x M state and canonicalize to N <= M.
-
-    If the two qunit dimensions arrive in the wrong order, the subsystems
-    are permuted (amplitudes reindexed) and the swap is flagged in the
-    returned :class:`DimSpec`.
-    """
-    if len(state.dims) != 3:
-        raise DimensionMismatchError(f"expected 3 subsystems, got dims {state.dims}")
-    spec = DimSpec.from_dims(state.dims)
-    if not spec.swapped:
-        return state, spec
-    amps = state.amplitudes.reshape(state.dims).transpose(0, 2, 1).reshape(-1)
-    return StateVector.create(amps, (spec.d0, spec.d1, spec.d2), normalize=False), spec
+def _check_tripartite_dims(dims) -> None:
+    """Raise unless ``dims`` is a 2 x N x M system: three subsystems, a qubit
+    first, and two qunits of dimension at least 2, in either order."""
+    if len(dims) != 3:
+        raise DimensionMismatchError(f"expected 2 x N x M dims, got {tuple(dims)}")
+    if dims[0] != 2:
+        raise InvalidDimensionError(f"first subsystem must be a qubit, got {dims[0]}")
+    if min(dims[1:]) < 2:
+        raise InvalidDimensionError(
+            f"qunit dimensions must be at least 2, got ({dims[1]}, {dims[2]})")
 
 
 def density(state: StateVector) -> DensityMatrix:

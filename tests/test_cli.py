@@ -17,19 +17,24 @@ def run_cli(argv, capsys):
     return code, captured.out, captured.err
 
 
+def _rho_file(rho, dims):
+    """State-file text of the density matrix ``rho`` on ``dims``."""
+    def fmt(z):
+        sign = "+" if z.imag >= 0 else "-"
+        return f"{float(z.real)!r}{sign}{abs(float(z.imag))!r}i"
+
+    lines = ["dims: " + " ".join(str(d) for d in dims), "rho:"]
+    for row in rho:
+        lines.append(" ".join(fmt(z) for z in row))
+    return "\n".join(lines) + "\n"
+
+
 def _product_rho_file(rng):
     """Full-rank 3x3 product state: PPT, undetectable, hence Undetermined."""
     from oracles import random_density_oracle
     rho = np.kron(random_density_oracle(rng, 3, min_eig=0.05),
                   random_density_oracle(rng, 3, min_eig=0.05))
-    def fmt(z):
-        sign = "+" if z.imag >= 0 else "-"
-        return f"{float(z.real)!r}{sign}{abs(float(z.imag))!r}i"
-
-    lines = ["dims: 3 3", "rho:"]
-    for row in rho:
-        lines.append(" ".join(fmt(z) for z in row))
-    return "\n".join(lines) + "\n"
+    return _rho_file(rho, (3, 3))
 
 
 def test_analyze_robust_state(tmp_path, capsys):
@@ -75,14 +80,8 @@ def test_analyze_bipartite_ket_file(tmp_path, capsys):
 
 def test_analyze_tripartite_rho_file(tmp_path, capsys):
     from qloss import density, ghz
-    rho = density(ghz())
-    lines = ["dims: 2 2 2", "rho:"]
-    for row in rho.matrix:
-        lines.append(" ".join(
-            f"{float(z.real)!r}{'+' if z.imag >= 0 else '-'}{abs(float(z.imag))!r}i"
-            for z in row))
     path = tmp_path / "ghzrho.txt"
-    path.write_text("\n".join(lines) + "\n")
+    path.write_text(_rho_file(density(ghz()).matrix, (2, 2, 2)))
     code, out, _ = run_cli(["analyze", str(path), "--quiet"], capsys)
     assert code == 1
     assert json.loads(out)["report"]["input"]["kind"] == "tripartite_density"
@@ -140,6 +139,51 @@ def test_analyze_usage_errors(tmp_path, capsys):
     assert code == 64                                                 # dims mismatch
     code, _, _ = run_cli(["analyze"], capsys)
     assert code == 64
+
+
+@pytest.mark.parametrize("ket, dims", [
+    ("|000> + |111>", ["3", "2", "2"]),          # the first subsystem is not a qubit
+    ("|000> + |101>", ["2", "1", "2"]),          # a qunit of dimension 1
+    ("|0000>", ["2", "2", "2", "2"]),            # four subsystems
+])
+def test_analyze_ket_that_is_not_2xnxm_is_input_error(ket, dims, capsys):
+    code, out, err = run_cli(["analyze", "--ket", ket, "--dims", *dims], capsys)
+    assert (code, out) == (65, "")
+    assert "Dimension" in err
+
+
+def test_analyze_tripartite_rho_file_needs_a_qubit_first(tmp_path, capsys):
+    psi = np.zeros(12)
+    psi[[0, 11]] = np.sqrt(0.5)                  # |000> + |111> on 3 x 2 x 2
+    path = tmp_path / "rho322.txt"
+    path.write_text(_rho_file(np.outer(psi, psi), (3, 2, 2)))
+    code, out, err = run_cli(["analyze", str(path), "--quiet"], capsys)
+    assert (code, out) == (65, "")
+    assert "InvalidDimensionError" in err
+
+
+def test_analyze_budget_reports_a_roof_bound(capsys):
+    code, out, _ = run_cli(["analyze", "--ket", "|010> + |001> + |112> + |121>",
+                            "--dims", "2", "3", "3", "--budget", "5", "--seed", "9",
+                            "--quiet"], capsys)
+    assert code == 0
+    measures = {m["name"]: m for m in json.loads(out)["report"]["measures"]}
+    roof = measures["concurrence"]
+    assert roof["kind"] == "upper_bound"
+    assert "seed=9 restarts=8 iterations=5" in roof["notes"]
+
+
+def test_analyze_pipeline_failure_is_internal_error(monkeypatch, capsys):
+    from qloss.errors import ConvergenceFailureError
+
+    def fail(*args, **kwargs):
+        raise ConvergenceFailureError("SVD failed to converge")
+
+    monkeypatch.setattr(cli, "classify_qubit_loss", fail)
+    code, out, err = run_cli(["analyze", "--ket", "|000> + |111>", "--dims", "2", "2", "2"],
+                             capsys)
+    assert (code, out) == (70, "")
+    assert "internal numeric failure: ConvergenceFailureError" in err
 
 
 def test_no_subcommand_is_usage_error(capsys):
@@ -224,6 +268,9 @@ def test_sweep_empty_grid_writes_header_only(tmp_path, capsys):
     assert len(lines) == 1
     assert lines[0].startswith("p,n,alpha,beta")
     assert lines[0].endswith("normal_form,classification,error")
+    # an empty range is an empty grid too
+    code, out, _ = run_cli(["sweep", "observation1", "--p", "1:0:0.1"], capsys)
+    assert code == 0 and out.splitlines() == lines
 
 
 def test_sweep_observation1_csv_boundary(tmp_path, capsys):
@@ -260,8 +307,36 @@ def test_sweep_example1_with_region_and_error_rows(tmp_path, capsys):
     assert "NotPSD" in rows[1][error]
 
 
+def test_sweep_example3_csv(capsys):
+    code, out, _ = run_cli(["sweep", "example3", "--beta1", "0,1", "--beta2", "1",
+                            "--beta3", "0,1", "--n", "2", "--m", "3"], capsys)
+    assert code == 0
+    lines = out.splitlines()
+    header = lines[0].split(",")
+    assert header[:5] == ["beta1", "beta2", "beta3", "n", "m"]
+    rows = [dict(zip(header, line.split(","))) for line in lines[1:]]
+    assert [(r["beta1"], r["beta3"], r["normal_form"], r["classification"]) for r in rows] == [
+        ("0.0", "0.0", "converged", "Fragile"),
+        ("0.0", "1.0", "converged", "Robust"),
+        ("1.0", "0.0", "converged", "Fragile"),
+        ("1.0", "1.0", "diverged", "Robust"),
+    ]
+    assert float(rows[1]["negativity"]) == pytest.approx(0.5, abs=1e-12)
+    assert rows[3]["kf_statistic"] == "" and float(rows[3]["negativity"]) > 0.2
+    assert all(r["error"] == "" and (r["n"], r["m"]) == ("2", "3") for r in rows)
+
+
+def test_sweep_region_needs_all_three_alphas(capsys):
+    code, out, err = run_cli(["sweep", "example1", "--t1", "0", "--alpha1", "0.5"], capsys)
+    assert (code, out) == (64, "")
+    assert "--alpha1/--alpha2/--alpha3" in err
+
+
 def test_sweep_grid_syntax_error(capsys):
     assert run_cli(["sweep", "observation1", "--p", "0:1"], capsys)[0] == 64
+    code, out, err = run_cli(["sweep", "observation1", "--p", "0:1:0"], capsys)
+    assert (code, out) == (64, "")
+    assert "grid step must be positive" in err
 
 
 def test_version_flag(capsys):

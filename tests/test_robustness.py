@@ -32,7 +32,12 @@ from qloss import (
 from qloss import bloch
 from qloss.bloch import NF_MAX_ITER, NF_TOL
 from qloss.cli import report_to_dict
-from qloss.errors import DegenerateFamilyError, InvalidParamsError, NotPSDError
+from qloss.errors import (
+    DegenerateFamilyError,
+    InvalidParamsError,
+    NotPSDError,
+    RankDeficientError,
+)
 from qloss.robustness import FIG1_BLOCK
 from qloss.states import _gamma_residual, reduce_support
 
@@ -155,6 +160,24 @@ def test_failed_filtering_keeps_its_iteration_count(dims):
     assert doc == {"status": "diverged", "iterations": 0, "stop": "no_normal_form"}
     assert report.classification is Classification.ROBUST
     assert _criterion(report, "ppt").verdict is Verdict.DETECTED
+
+
+def test_rank_deficient_normal_form_keeps_the_ppt_evidence(monkeypatch):
+    want = classify_qubit_loss(EX4)
+
+    def rank_deficient(*args, **kwargs):
+        raise RankDeficientError("marginal is rank deficient")
+
+    monkeypatch.setattr("qloss.robustness._normal_form_steps", rank_deficient)
+    report = classify_qubit_loss(EX4)
+    assert report.normal_form_status == "rank_deficient"
+    assert report.nf_iterations is None and report.nf_stop is None
+    assert _criterion(report, "ky_fan") is None and report.informational == []
+    assert report.criteria == want.criteria[:1]
+    assert report.criteria[0].verdict is Verdict.DETECTED
+    assert report.classification is Classification.ROBUST
+    assert report_to_dict(report)["normal_form"] == {
+        "status": "rank_deficient", "iterations": None, "stop": None}
 
 
 def _w_plus_1e6():
@@ -376,13 +399,18 @@ def test_roof_ensemble_from_the_gamma_factor_matches_the_dense_one():
 
 def test_swapped_dims_give_same_classification():
     rng = np.random.default_rng(2)
-    amps = random_pure(rng, 2 * 4 * 3)
-    report = classify_qubit_loss(StateVector.create(amps, (2, 4, 3)))
+    state = StateVector.create(random_pure(rng, 2 * 4 * 3), (2, 4, 3))
+    report = classify_qubit_loss(state)
     assert report.input["swapped"] is True
     assert report.residual_dims == (3, 4)
-    permuted = amps.reshape(2, 4, 3).transpose(0, 2, 1).reshape(-1)
-    direct = classify_qubit_loss(StateVector.create(permuted, (2, 3, 4)))
+    permuted = state.amplitudes.reshape(2, 4, 3).transpose(0, 2, 1).reshape(-1)
+    direct = classify_qubit_loss(StateVector.create(permuted, (2, 3, 4), normalize=False))
     assert report.classification is direct.classification
+    # the swap is the permuted ket's residual: every statistic agrees bit for bit
+    swapped, unswapped = report_to_dict(report), report_to_dict(direct)
+    assert swapped["input"].pop("swapped") is True
+    assert unswapped["input"].pop("swapped") is False
+    assert swapped == unswapped
 
 
 # --- example3 family ----------------------------------------------------------

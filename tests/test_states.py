@@ -8,9 +8,7 @@ from hypothesis.extra import numpy as hnp
 
 from qloss import (
     DensityMatrix,
-    DimSpec,
     StateVector,
-    as_tripartite,
     density,
     ghz,
     numerics,
@@ -28,7 +26,12 @@ from qloss.errors import (
     NotHermitianError,
     NotPSDError,
 )
-from qloss.states import _gamma_residual, check_density, normalize_density
+from qloss.states import (
+    _check_tripartite_dims,
+    _gamma_residual,
+    check_density,
+    normalize_density,
+)
 
 from oracles import (
     negativity_oracle,
@@ -47,29 +50,21 @@ def _residual(state: StateVector) -> DensityMatrix:
     return partial_trace(density(state), keep=(1, 2))
 
 
-def test_dimspec_swaps_and_flags():
-    spec = DimSpec.from_dims((2, 4, 3))
-    assert (spec.d1, spec.d2, spec.swapped) == (3, 4, True)
-    spec = DimSpec.from_dims((2, 3, 4))
-    assert (spec.d1, spec.d2, spec.swapped) == (3, 4, False)
+def test_tripartite_dims_check_takes_either_qunit_order():
+    for dims in ((2, 4, 3), (2, 3, 4), (2, 2, 2), [2, 2, 7]):
+        _check_tripartite_dims(dims)
 
 
-def test_dimspec_rejects_bad_dims():
-    with pytest.raises(InvalidDimensionError):
-        DimSpec.from_dims((3, 2, 2))
-    with pytest.raises(InvalidDimensionError):
-        DimSpec.from_dims((2, 1, 4))
-
-
-def test_as_tripartite_permutes_amplitudes():
-    rng = np.random.default_rng(0)
-    amps = random_pure(rng, 2 * 4 * 3)
-    state = StateVector.create(amps, (2, 4, 3))
-    canonical, spec = as_tripartite(state)
-    assert spec.swapped and canonical.dims == (2, 3, 4)
-    original = amps.reshape(2, 4, 3)
-    np.testing.assert_allclose(
-        canonical.amplitudes.reshape(2, 3, 4), original.transpose(0, 2, 1), atol=1e-15)
+def test_tripartite_dims_check_rejects_bad_dims():
+    with pytest.raises(InvalidDimensionError, match="qubit"):
+        _check_tripartite_dims((3, 2, 2))
+    with pytest.raises(InvalidDimensionError, match="at least 2"):
+        _check_tripartite_dims((2, 1, 4))
+    with pytest.raises(InvalidDimensionError, match="at least 2"):
+        _check_tripartite_dims((2, 4, 1))
+    for dims in ((2, 2, 2, 2), (2, 3)):
+        with pytest.raises(DimensionMismatchError):
+            _check_tripartite_dims(dims)
 
 
 def test_state_vector_validation():
@@ -148,9 +143,9 @@ _UNIT = st.floats(-1.0, 1.0, allow_subnormal=False)
 
 @st.composite
 def _pure_2xnxm(draw):
-    """Pure 2 x N x M states with N in 2..6 and M in 2..7, so N > M (stored
-    swapped) occurs: generic ones, and |0>|a1 b1> + |1>|a2 b2>, whose
-    residual has local ranks at most 2."""
+    """Pure 2 x N x M states with N in 2..6 and M in 2..7, so N > M occurs:
+    generic ones, and |0>|a1 b1> + |1>|a2 b2>, whose residual has local
+    ranks at most 2."""
     n, m = draw(st.integers(2, 6)), draw(st.integers(2, 7))
     if draw(st.booleans()):
         parts = draw(hnp.arrays(np.float64, (2, 2 * n * m), elements=_UNIT))
@@ -166,13 +161,9 @@ def _pure_2xnxm(draw):
 @settings(max_examples=60, deadline=None, database=None, derandomize=True)
 @given(_pure_2xnxm())
 def test_gamma_residual_matches_brute_partial_trace(state):
-    canonical, spec = as_tripartite(state)
-    residual = _gamma_residual(canonical)
-    _, a, b = state.dims
+    residual = _gamma_residual(state)
     want = ptrace_brute(np.outer(state.amplitudes, state.amplitudes.conj()), state.dims, (1, 2))
-    if spec.swapped:
-        want = want.reshape(a, b, a, b).transpose(1, 0, 3, 2).reshape(a * b, a * b)
-    assert residual.dims == (spec.d1, spec.d2)
+    assert residual.dims == state.dims[1:]
     assert np.abs(residual.matrix - want).max() <= 1e-14
     # the compressed factor gives the state the dense compression gives:
     # the same matrix without a factor takes the dense path
