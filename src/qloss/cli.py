@@ -4,7 +4,7 @@ Subcommands::
 
     qloss analyze FILE [--quiet] [...]       classify a state file
     qloss analyze --ket EXPR --dims 2 N M    classify an inline ket
-    qloss sweep FAMILY [grid flags] --out f  parameter sweep to CSV
+    qloss sweep FAMILY [its flags] --out f   one family over a grid to CSV
     qloss fig1 --samples N --seed S          concurrence/negativity scatter CSV
     qloss generators N                       dump the SU(N) basis as JSON
 
@@ -30,7 +30,6 @@ from .errors import InvalidParamsError, QlossError
 from .robustness import (
     Classification,
     RobustnessReport,
-    SWEEP_FAMILIES,
     __version__,
     classify_qubit_loss,
     classify_residual,
@@ -151,6 +150,8 @@ def _parse_grid(text: str) -> list[float]:
         if len(parts) != 3:
             raise InvalidParamsError(f"grid range must be start:stop:step, got {text!r}")
         start, stop, step = (float(p) for p in parts)
+        if not np.isfinite([start, stop, step]).all():
+            raise InvalidParamsError(f"grid range must be finite, got {text!r}")
         if step <= 0:
             raise InvalidParamsError(f"grid step must be positive, got {step}")
         count = int(np.floor((stop - start) / step + 1e-9)) + 1
@@ -162,19 +163,18 @@ def _parse_grid(text: str) -> list[float]:
     return [float(text)]
 
 
-def _roof_budget(args) -> RoofBudget | None:
-    if args.budget <= 0:
-        return None
-    return RoofBudget(restarts=8, iterations=args.budget, seed=args.seed)
-
-
-def _classify_options(args) -> dict:
-    return {
-        "rank_tol": args.rank_tol,
-        "nf_tol": args.nf_tol,
-        "roof_budget": _roof_budget(args),
-        "seed": args.seed,
-    }
+def _tolerance(upper: float):
+    """argparse ``type=``: a float x with 0 < x < upper (so finite, NaN refused)."""
+    def parse(text: str) -> float:
+        try:
+            value = float(text)
+        except ValueError:
+            value = np.nan  # refused below, with the range in the message
+        if not 0 < value < upper:
+            raise argparse.ArgumentTypeError(
+                f"must be a finite number with 0 < x < {upper:g}, got {text!r}")
+        return value
+    return parse
 
 
 def _cmd_analyze(args) -> int:
@@ -219,7 +219,11 @@ def _cmd_analyze(args) -> int:
 
     # pipeline phase: failures are internal numeric errors (70)
     try:
-        options = _classify_options(args)
+        roof_budget = None
+        if args.budget > 0:
+            roof_budget = RoofBudget(restarts=8, iterations=args.budget, seed=args.seed)
+        options = {"rank_tol": args.rank_tol, "nf_tol": args.nf_tol,
+                   "roof_budget": roof_budget, "seed": args.seed}
         if len(content.dims) == 3:
             if content.kind == "ket":
                 report = classify_qubit_loss(content.state, **options)
@@ -252,11 +256,6 @@ def _cmd_analyze(args) -> int:
     return EXIT_BY_CLASSIFICATION[report.classification]
 
 
-_SWEEP_PARAM_COLS = {
-    "observation1": ["p", "n", "alpha", "beta", "sign", "e_index", "eperp_index"],
-    "example1": ["t1", "t2", "t3", "alpha1", "alpha2", "alpha3", "region"],
-    "example3": ["beta1", "beta2", "beta3", "n", "m"],
-}
 _SWEEP_STAT_COLS = ["negativity", "kf_statistic", "kf_threshold", "length_bound",
                     "normal_form", "classification", "error"]
 
@@ -283,41 +282,29 @@ def _sweep_row(point, columns) -> list[str]:
 
 
 def _cmd_sweep(args) -> int:
-    grid: dict[str, list[float]] = {}
-    fixed: dict[str, float] = {}
-    if args.family == "observation1":
-        grid_flags = {"p": args.p}
-        fixed = {"n": args.n, "alpha": args.alpha, "beta": args.beta,
-                 "sign": args.sign, "e_index": args.e_index, "eperp_index": args.eperp_index}
-    elif args.family == "example1":
-        grid_flags = {"t1": args.t1, "t2": args.t2, "t3": args.t3}
-        fixed = {}
-        if args.alpha1 is not None or args.alpha2 is not None or args.alpha3 is not None:
-            if None in (args.alpha1, args.alpha2, args.alpha3):
-                sys.stderr.write("sweep: give all of --alpha1/--alpha2/--alpha3 or none\n")
-                return EX_USAGE
-            fixed = {"alpha1": args.alpha1, "alpha2": args.alpha2, "alpha3": args.alpha3}
-    else:  # example3
-        grid_flags = {"beta1": args.beta1, "beta2": args.beta2, "beta3": args.beta3}
-        fixed = {"n": args.n, "m": args.m}
+    fixed = {name: getattr(args, name) for name in args.fixed_names}
+    given = {name: value for name, value in fixed.items() if value is not None}
+    if given and len(given) < len(fixed):  # only fixed flags without a default can be left out
+        flags = "/".join(f"--{name}" for name in fixed)
+        sys.stderr.write(f"sweep: give all of {flags} or none\n")
+        return EX_USAGE
     try:
-        for name, raw in grid_flags.items():
-            if raw is not None:
-                grid[name] = _parse_grid(raw)
+        grid = {name: _parse_grid(getattr(args, name)) for name in args.grid_names
+                if getattr(args, name) is not None}
         if not grid:
             sys.stderr.write("sweep: no grid flags given\n")
             return EX_USAGE
-        points = sweep(args.family, grid, fixed=fixed, **_classify_options(args))
+        points = sweep(args.family, grid, fixed=given, rank_tol=args.rank_tol,
+                       nf_tol=args.nf_tol)
     except InvalidParamsError as exc:
         sys.stderr.write(f"sweep: {exc}\n")
         return EX_USAGE
     except (QlossError, np.linalg.LinAlgError) as exc:
         sys.stderr.write(f"sweep: internal numeric failure: {type(exc).__name__}: {exc}\n")
         return EX_SOFTWARE
-    columns = _SWEEP_PARAM_COLS[args.family]
-    lines = [",".join(columns + _SWEEP_STAT_COLS)]
+    lines = [",".join(args.columns + _SWEEP_STAT_COLS)]
     for point in points:
-        lines.append(",".join(_sweep_row(point, columns)))
+        lines.append(",".join(_sweep_row(point, args.columns)))
     _write_text(args.out, "\n".join(lines) + "\n")
     return 0
 
@@ -363,14 +350,11 @@ def build_parser() -> _Parser:
     parser.add_argument("--version", action="version", version=f"qloss {__version__}")
     sub = parser.add_subparsers(dest="command", parser_class=_Parser)
 
-    def add_common(p):
-        p.add_argument("--seed", type=int, default=0, help="random seed")
-        p.add_argument("--rank-tol", type=float, default=numerics.RANK_TOL,
-                       help="relative eigenvalue threshold for rank decisions")
-        p.add_argument("--nf-tol", type=float, default=NF_TOL,
-                       help="normal-form marginal tolerance")
-        p.add_argument("--budget", type=int, default=0,
-                       help="iterations for the convex-roof concurrence bound (0 = skip)")
+    def add_tolerances(p):
+        p.add_argument("--rank-tol", type=_tolerance(1.0), default=numerics.RANK_TOL,
+                       help="relative eigenvalue threshold for rank decisions, 0 < x < 1")
+        p.add_argument("--nf-tol", type=_tolerance(np.inf), default=NF_TOL,
+                       help="normal-form marginal tolerance, finite and > 0")
 
     analyze = sub.add_parser("analyze", help="classify a state against qubit loss")
     analyze.add_argument("path", nargs="?", help="state file (see README for the format)")
@@ -378,31 +362,44 @@ def build_parser() -> _Parser:
     analyze.add_argument("--dims", type=int, nargs="+",
                          help="subsystem dimensions (required with --ket)")
     analyze.add_argument("--quiet", action="store_true", help="suppress the stderr summary")
-    add_common(analyze)
+    analyze.add_argument("--seed", type=int, default=0, help="random seed")
+    analyze.add_argument("--budget", type=int, default=0,
+                         help="iterations for the convex-roof concurrence bound (0 = skip)")
+    add_tolerances(analyze)
     analyze.set_defaults(func=_cmd_analyze)
 
     sweep_p = sub.add_parser("sweep", help="evaluate a state family over a grid")
-    sweep_p.add_argument("family", choices=sorted(SWEEP_FAMILIES))
-    sweep_p.add_argument("--out", help="output CSV path (default: stdout)")
-    sweep_p.add_argument("--p", help="grid for the mixing probability (observation1)")
-    sweep_p.add_argument("--n", type=int, default=2, help="local dimension (observation1/example3)")
-    sweep_p.add_argument("--m", type=int, default=3, help="second local dimension (example3)")
-    sweep_p.add_argument("--alpha", type=float, default=float(np.sqrt(0.5)))
-    sweep_p.add_argument("--beta", type=float, default=float(np.sqrt(0.5)))
-    sweep_p.add_argument("--sign", type=int, default=1, choices=(1, -1))
-    sweep_p.add_argument("--e-index", type=int, default=0, dest="e_index")
-    sweep_p.add_argument("--eperp-index", type=int, default=1, dest="eperp_index")
-    sweep_p.add_argument("--t1", help="grid for t1 (example1)")
-    sweep_p.add_argument("--t2", help="grid for t2 (example1)")
-    sweep_p.add_argument("--t3", help="grid for t3 (example1)")
-    sweep_p.add_argument("--alpha1", type=float, help="region parameter (example1)")
-    sweep_p.add_argument("--alpha2", type=float, help="region parameter (example1)")
-    sweep_p.add_argument("--alpha3", type=float, help="region parameter (example1)")
-    sweep_p.add_argument("--beta1", help="grid for beta1 (example3)")
-    sweep_p.add_argument("--beta2", help="grid for beta2 (example3)")
-    sweep_p.add_argument("--beta3", help="grid for beta3 (example3)")
-    add_common(sweep_p)
-    sweep_p.set_defaults(func=_cmd_sweep)
+    families = sweep_p.add_subparsers(dest="family", required=True, parser_class=_Parser)
+
+    def add_family(family, grid, fixed, derived=()):
+        """One sweep family: its grid flags, then its fixed flags as (flag,
+        add_argument keywords) pairs; the CSV columns follow that order, then
+        the ``derived`` parameters the family's points add. No abbreviations:
+        another family's ``--n`` would otherwise be taken as ``--nf-tol``."""
+        p = families.add_parser(family, help=f"sweep the {family} family", allow_abbrev=False)
+        for name in grid:
+            p.add_argument(f"--{name}", help=f"grid for {name}: start:stop:step, a,b,... or x")
+        fixed_names = [p.add_argument(flag, **kw).dest for flag, kw in fixed]
+        add_tolerances(p)
+        p.add_argument("--out", help="output CSV path (default: stdout)")
+        p.set_defaults(func=_cmd_sweep, grid_names=grid, fixed_names=fixed_names,
+                       columns=[*grid, *fixed_names, *derived])
+
+    add_family("observation1", ["p"], [
+        ("--n", {"type": int, "default": 2, "help": "local dimension"}),
+        ("--alpha", {"type": float, "default": float(np.sqrt(0.5))}),
+        ("--beta", {"type": float, "default": float(np.sqrt(0.5))}),
+        ("--sign", {"type": int, "default": 1, "choices": (1, -1)}),
+        ("--e-index", {"type": int, "default": 0}),
+        ("--eperp-index", {"type": int, "default": 1}),
+    ])
+    add_family("example1", ["t1", "t2", "t3"], [
+        (f"--alpha{i}", {"type": float, "help": "region parameter"}) for i in (1, 2, 3)
+    ], derived=["region"])
+    add_family("example3", ["beta1", "beta2", "beta3"], [
+        ("--n", {"type": int, "default": 2, "help": "local dimension"}),
+        ("--m", {"type": int, "default": 3, "help": "second local dimension"}),
+    ])
 
     fig1 = sub.add_parser("fig1", help="concurrence/negativity scatter for random states")
     fig1.add_argument("--samples", type=int, default=1000)

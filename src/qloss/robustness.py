@@ -356,16 +356,14 @@ def sweep(
     grid: dict,
     *,
     fixed: dict | None = None,
-    seed: int = 0,
     **classify_kw,
 ) -> list[SweepPoint]:
     """Evaluate a state family over a cartesian parameter grid.
 
     ``grid`` maps parameter names to value sequences; ``fixed`` holds
     scalar parameters shared by every point. Points are evaluated in order,
-    and each records the sub-seed (seed, point index) as ``sub_seed``, but
-    runs, its roof search included, with ``seed`` itself. Per-point failures
-    are recorded inline and the sweep continues.
+    each classified with ``classify_kw`` (``seed`` and ``roof_budget``
+    included). Per-point failures are recorded inline and the sweep continues.
     """
     if family not in SWEEP_FAMILIES:
         raise InvalidParamsError(
@@ -374,13 +372,11 @@ def sweep(
     if not grid:
         return []
     results: list[SweepPoint] = []
-    for index, values in enumerate(itertools.product(*grid.values())):
+    for values in itertools.product(*grid.values()):
         params = dict(fixed or {})
         params.update(zip(grid, values))
         try:
-            report = builder(params, seed=seed, **classify_kw)
-            report.provenance["sub_seed"] = [int(seed), index]
-            results.append(SweepPoint(params=params, report=report))
+            results.append(SweepPoint(params=params, report=builder(params, **classify_kw)))
         except QlossError as exc:
             results.append(SweepPoint(params=params, error=f"{type(exc).__name__}: {exc}"))
     return results

@@ -337,6 +337,67 @@ def test_sweep_grid_syntax_error(capsys):
     code, out, err = run_cli(["sweep", "observation1", "--p", "0:1:0"], capsys)
     assert (code, out) == (64, "")
     assert "grid step must be positive" in err
+    # a range that is not finite has no count of points
+    for grid in ["0:1:nan", "nan:1:0.5", "0:inf:0.1"]:
+        code, out, err = run_cli(["sweep", "observation1", "--p", grid], capsys)
+        assert (code, out) == (64, ""), grid
+        assert "grid range must be finite" in err
+
+
+@pytest.mark.parametrize("family, grid, foreign", [
+    ("observation1", ["--p", "0.5"], ["--t1", "0.3"]),
+    ("observation1", ["--p", "0.5"], ["--beta1", "2"]),
+    ("observation1", ["--p", "0.5"], ["--alpha1", "0.5"]),
+    ("observation1", ["--p", "0.5"], ["--m", "3"]),
+    ("example1", ["--t1", "0"], ["--p", "0.5"]),
+    ("example1", ["--t1", "0"], ["--n", "3"]),
+    ("example3", ["--beta1", "0"], ["--t2", "0"]),
+    ("example3", ["--beta1", "0"], ["--alpha", "0.5"]),
+    *[(family, grid, flag) for family, grid in [("observation1", ["--p", "0.5"]),
+                                                ("example1", ["--t1", "0"]),
+                                                ("example3", ["--beta1", "0"])]
+      for flag in (["--seed", "9"], ["--budget", "5"])],
+])
+def test_sweep_family_rejects_flags_it_does_not_read(family, grid, foreign, capsys):
+    code, out, _ = run_cli(["sweep", family, *grid, *foreign], capsys)
+    assert (code, out) == (64, "")
+
+
+def test_sweep_example3_defaults_to_two_by_three(capsys):
+    code, out, _ = run_cli(["sweep", "example3", "--beta1", "0,1", "--beta2", "1"], capsys)
+    assert code == 0
+    lines = out.splitlines()
+    header = lines[0].split(",")
+    rows = [dict(zip(header, line.split(","))) for line in lines[1:]]
+    assert len(rows) == 2
+    assert all((r["n"], r["m"], r["error"]) == ("2", "3", "") for r in rows)
+
+
+@pytest.mark.parametrize("flag, value", [
+    ("--rank-tol", "0"), ("--rank-tol", "1"), ("--rank-tol", "2"), ("--rank-tol", "-1e-10"),
+    ("--rank-tol", "nan"), ("--rank-tol", "inf"), ("--rank-tol", "x"),
+    ("--nf-tol", "0"), ("--nf-tol", "-1"), ("--nf-tol", "nan"), ("--nf-tol", "inf"),
+    ("--nf-tol", "x"),
+])
+@pytest.mark.parametrize("command", [
+    ["analyze", "--ket", "|010> + |001> + |112> + |121> + 0.3|100>", "--dims", "2", "3", "3"],
+    ["sweep", "observation1", "--p", "0.5"],
+    ["sweep", "example1", "--t1", "0"],
+    ["sweep", "example3", "--beta1", "0"],
+])
+def test_tolerance_out_of_range_is_usage_error(command, flag, value, capsys):
+    code, out, err = run_cli([*command, flag, value], capsys)
+    assert (code, out) == (64, "")
+    assert f"argument {flag}" in err
+
+
+@pytest.mark.parametrize("command", [
+    ["analyze", "--quiet", "--ket", "|000> + |111>", "--dims", "2", "2", "2"],
+    ["sweep", "observation1", "--p", "0.5"],
+])
+def test_tolerances_inside_the_range_are_accepted(command, capsys):
+    code, _, _ = run_cli([*command, "--rank-tol", "0.5", "--nf-tol", "1e3"], capsys)
+    assert code in (0, 1, 2)
 
 
 def test_version_flag(capsys):
