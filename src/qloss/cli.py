@@ -140,6 +140,17 @@ def _summary(report: RobustnessReport) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _grid_values(parts: list[str], text: str, what: str) -> list[float]:
+    """Each part as a float; InvalidParamsError unless all are finite numbers."""
+    try:
+        values = [float(p) for p in parts]
+    except ValueError:
+        values = [np.nan]  # refused below, with the grid in the message
+    if not np.isfinite(values).all():
+        raise InvalidParamsError(f"{what} must be finite numbers, got {text!r}")
+    return values
+
+
 def _parse_grid(text: str) -> list[float]:
     """Grid syntax: 'start:stop:step' (inclusive), comma list, or one value."""
     text = text.strip()
@@ -149,18 +160,14 @@ def _parse_grid(text: str) -> list[float]:
         parts = text.split(":")
         if len(parts) != 3:
             raise InvalidParamsError(f"grid range must be start:stop:step, got {text!r}")
-        start, stop, step = (float(p) for p in parts)
-        if not np.isfinite([start, stop, step]).all():
-            raise InvalidParamsError(f"grid range must be finite, got {text!r}")
+        start, stop, step = _grid_values(parts, text, "grid range")
         if step <= 0:
             raise InvalidParamsError(f"grid step must be positive, got {step}")
         count = int(np.floor((stop - start) / step + 1e-9)) + 1
         if count < 1:
             return []
         return [round(start + i * step, 12) for i in range(count)]
-    if "," in text:
-        return [float(p) for p in text.split(",") if p.strip() != ""]
-    return [float(text)]
+    return _grid_values([p for p in text.split(",") if p.strip() != ""], text, "grid values")
 
 
 def _tolerance(upper: float):

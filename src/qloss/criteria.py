@@ -104,7 +104,9 @@ def ppt_negativity(rho: DensityMatrix) -> tuple[CriterionResult, MeasureValue]:
     """Partial-transpose test plus the negativity measure.
 
     Negativity is computed both as |sum of negative PT eigenvalues| and as
-    (trace_norm(PT) - 1)/2; the two must agree to 1e-10. A PPT verdict
+    (trace_norm(PT) - 1)/2; the two must agree to 1e-10. The PT spectrum
+    comes from ``eigh`` up to N*M = 25 and from ``eigvalsh``, with no
+    eigenvectors, above (see :func:`stacked_negativity`). A PPT verdict
     certifies separability only where PPT is sufficient: N*M <= 6, or a
     trivial local side (min(N, M) = 1, where every state is separable).
     """
@@ -149,9 +151,11 @@ def stacked_negativity(mats: np.ndarray, dims: tuple[int, int]) -> np.ndarray:
 
     The negativity is |sum of negative partial-transpose eigenvalues|; it
     must agree with (trace_norm(PT) - 1)/2 to 1e-10 on every member, or
-    :class:`QlossError` is raised. PPT members give 0.0, never -0.0.
+    :class:`QlossError` is raised. PPT members give 0.0, never -0.0. The
+    eigenvalues come from :func:`qloss.numerics.eigenvalues`: from ``eigh``
+    up to nm = 25, from ``eigvalsh`` with no eigenvectors above.
     """
-    w, _ = numerics.eigh(transpose_side(mats, dims, 0))
+    w = numerics.eigenvalues(transpose_side(mats, dims, 0))
     neg_sum = -np.minimum(w, 0.0).sum(axis=-1)
     from_norm = (np.abs(w).sum(axis=-1) - 1.0) / 2.0
     gap = np.abs(neg_sum - from_norm)
@@ -165,7 +169,7 @@ def stacked_negativity(mats: np.ndarray, dims: tuple[int, int]) -> np.ndarray:
 def stacked_wootters(mats: np.ndarray) -> np.ndarray:
     """Wootters concurrence of each two-qubit density matrix of a ``(k, 4, 4)`` stack."""
     root = numerics.sqrt_psd(mats)
-    w, _ = numerics.eigh(root @ SPIN_FLIP @ mats.conj() @ SPIN_FLIP @ root)
+    w = numerics.eigenvalues(root @ SPIN_FLIP @ mats.conj() @ SPIN_FLIP @ root)
     lam = np.sqrt(np.clip(w, 0.0, None))[..., ::-1]
     value = lam[..., 0] - lam[..., 1] - lam[..., 2] - lam[..., 3]
     return np.where(value > 0, value, 0.0)

@@ -4,11 +4,17 @@ All functions operate on ``numpy.ndarray`` values (complex128, except that
 :func:`singular_values` keeps real input real) and are pure:
 inputs are never mutated, so everything here is thread-safe.
 
-Stack convention: :func:`check_hermitian`, :func:`eigh` and :func:`sqrt_psd`
-take a single ``(d, d)`` matrix or a stack of shape ``(..., d, d)`` and apply
-to each matrix of the stack, with results stacked over the same leading axes.
-A stack of one runs exactly the arithmetic of the single-matrix call, so the
-results agree bit for bit. A check that fails on any member of a stack raises.
+Stack convention: :func:`check_hermitian`, :func:`eigh`, :func:`eigenvalues`
+and :func:`sqrt_psd` take a single ``(d, d)`` matrix or a stack of shape
+``(..., d, d)`` and apply to each matrix of the stack, with results stacked
+over the same leading axes. A stack of one runs exactly the arithmetic of the
+single-matrix call, so the results agree bit for bit. A check that fails on
+any member of a stack raises.
+
+:func:`eigenvalues` is for callers that read only the spectrum. Up to
+dimension 25 it returns :func:`eigh`'s eigenvalues, bit for bit; above 25 it
+computes no eigenvectors, and its values may differ from :func:`eigh`'s in
+the last bits.
 
 Conventions, fixed once to avoid cross-module sign/order bugs:
 
@@ -32,6 +38,12 @@ PSD_ATOL = 1e-10
 
 #: Default relative eigenvalue threshold for rank decisions.
 RANK_TOL = 1e-10
+
+# Largest dimension at which eigenvalues() still takes eigh's values. 25 is
+# zheevd's SMLSIZ, the size at which LAPACK itself switches how it finds
+# eigenvectors. Up to it the values stay bit-identical to eigh's, which keeps
+# every two-qubit negativity and every seeded output (none above 25) unchanged.
+_EIGENVECTORS_UP_TO = 25
 
 
 def dagger(m: np.ndarray) -> np.ndarray:
@@ -75,6 +87,20 @@ def eigh(h: np.ndarray, atol: float = HERMITIAN_ATOL) -> tuple[np.ndarray, np.nd
     check_hermitian(h, atol)
     w, v = np.linalg.eigh((h + dagger(h)) / 2.0)
     return w, v
+
+
+def eigenvalues(h: np.ndarray) -> np.ndarray:
+    """Ascending eigenvalues of a Hermitian matrix or of each matrix of a stack.
+
+    Up to dimension 25 they are :func:`eigh`'s, bit for bit; above 25 they
+    come from ``eigvalsh`` and no eigenvectors are computed. Raises
+    :class:`NotHermitianError` if the symmetry check fails on any member.
+    """
+    h = np.asarray(h, dtype=complex)
+    if not (_is_square(h) and h.shape[-1] > _EIGENVECTORS_UP_TO):
+        return eigh(h)[0]
+    check_hermitian(h)
+    return np.linalg.eigvalsh((h + dagger(h)) / 2.0)
 
 
 def singular_values(m: np.ndarray) -> np.ndarray:

@@ -338,10 +338,19 @@ def test_sweep_grid_syntax_error(capsys):
     assert (code, out) == (64, "")
     assert "grid step must be positive" in err
     # a range that is not finite has no count of points
-    for grid in ["0:1:nan", "nan:1:0.5", "0:inf:0.1"]:
+    for grid in ["0:1:nan", "nan:1:0.5", "0:inf:0.1", "0:x:0.1"]:
         code, out, err = run_cli(["sweep", "observation1", "--p", grid], capsys)
         assert (code, out) == (64, ""), grid
         assert "grid range must be finite" in err
+    # so is any value of a comma list or a single value that is not a finite number
+    for grid in ["0,abc", "abc", "nan", "inf,0.5", "0,-inf"]:
+        code, out, err = run_cli(["sweep", "observation1", "--p", grid], capsys)
+        assert (code, out) == (64, ""), grid
+        assert "grid values must be finite numbers" in err
+    code, out, err = run_cli(["sweep", "example1", "--t1", "nan", "--t2", "0", "--t3", "0"],
+                             capsys)
+    assert (code, out) == (64, "")
+    assert "grid values must be finite numbers" in err
 
 
 @pytest.mark.parametrize("family, grid, foreign", [

@@ -30,9 +30,10 @@ from qloss import (
     w,
     wootters_concurrence,
 )
+from qloss import numerics
 from qloss.criteria import stacked_negativity, stacked_wootters
-from qloss.errors import NotPSDError
-from qloss.states import normalize_density
+from qloss.errors import NotPSDError, QlossError
+from qloss.states import normalize_density, transpose_side
 
 from oracles import (
     negativity_oracle,
@@ -210,6 +211,47 @@ def test_ppt_negativity_diagonalises_once(monkeypatch):
     _, measure = ppt_negativity(_residual(w()))
     assert measure.value == pytest.approx((np.sqrt(5) - 1) / 6, abs=1e-12)
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("dims", [(2, 2), (3, 3), (5, 5), (5, 6), (6, 6), (12, 12)])
+@settings(max_examples=5, deadline=None, database=None, derandomize=True)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_negativity_on_both_sides_of_the_eigenvector_cut(dims, seed):
+    # PT dimension 4 to 36, plus a 2x12x12 ket: up to 25 the spectrum is eigh's,
+    # bit for bit; above 25 it comes without any eigenvector solve
+    n, m = dims
+    rng = np.random.default_rng(seed)
+    rho = _residual(StateVector.create(random_pure(rng, 2 * n * m), (2, n, m)))
+    w, _ = numerics.eigh(transpose_side(rho.matrix[None], dims, 0))
+    via_eigh = -np.minimum(w, 0.0).sum(axis=-1)[0]
+    calls = {"eigh": 0, "eigvalsh": 0}
+
+    def counting(name, solver):
+        def call(*args, **kwargs):
+            calls[name] += 1
+            return solver(*args, **kwargs)
+        return call
+
+    with pytest.MonkeyPatch.context() as patch:
+        for name in calls:
+            patch.setattr(np.linalg, name, counting(name, getattr(np.linalg, name)))
+        _, measure = ppt_negativity(rho)
+    assert measure.value == pytest.approx(negativity_oracle(rho.matrix, n, m), abs=1e-10)
+    if n * m <= 25:
+        assert measure.value == max(via_eigh, 0.0)
+        assert calls == {"eigh": 1, "eigvalsh": 0}
+    else:
+        assert calls == {"eigh": 0, "eigvalsh": 1}
+
+
+@pytest.mark.parametrize("dims", [(2, 2), (6, 6)])
+def test_negativity_cross_check_raises_on_both_sides_of_the_cut(dims):
+    # a stack with trace 2: the negative eigenvalues and the trace norm disagree by 1/2
+    rng = np.random.default_rng(4)
+    dim = dims[0] * dims[1]
+    stack = 2.0 * np.stack([random_density_oracle(rng, dim) for _ in range(2)])
+    with pytest.raises(QlossError, match="negativity cross-check failed"):
+        stacked_negativity(stack, dims)
 
 
 def test_negativity_vanishes_on_separable_mixtures():

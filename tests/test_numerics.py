@@ -49,6 +49,33 @@ def test_eigh_reconstruction_random():
         np.testing.assert_allclose(v.conj().T @ v, np.eye(dim), atol=1e-10)
 
 
+@pytest.mark.parametrize("dim", [4, 25, 26, 36])
+def test_eigenvalues_are_eigh_values_up_to_dimension_25(dim, monkeypatch):
+    rng = np.random.default_rng(dim)
+    stack = np.stack([random_hermitian(rng, dim) for _ in range(3)])
+    want, _ = numerics.eigh(stack)
+    vector_solves = []
+    eigh = np.linalg.eigh
+
+    def counting_eigh(*args, **kwargs):
+        vector_solves.append(1)
+        return eigh(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+    got = numerics.eigenvalues(stack)
+    assert len(vector_solves) == (dim <= 25)
+    if dim <= 25:
+        assert np.array_equal(got, want)
+    else:
+        np.testing.assert_allclose(got, want, atol=1e-12)
+    assert np.all(np.diff(got) >= 0)
+    assert np.array_equal(numerics.eigenvalues(stack[1]), got[1])
+    skewed = stack.copy()
+    skewed[1, 0, 1] += 1e-6
+    with pytest.raises(NotHermitianError):
+        numerics.eigenvalues(skewed)
+
+
 def test_singular_values_diagonal():
     s = numerics.singular_values(np.diag([3.0, 1.0, 2.0]))
     np.testing.assert_allclose(s, [3.0, 2.0, 1.0])
