@@ -40,11 +40,12 @@ _MAX_OMEGA = 1.9
 _FLAT_RATE = 0.999
 # a backed-off factor whose excess over 1 would fall below this snaps to 1
 _MIN_EXCESS = 0.05
-# unitary mixes (c, s) of a Gamma factor's columns g0, g1: the pencil is read
-# as D = g0'^-1 g1' with g0' = c g0 + s g1, g1' = -conj(s) g0 + conj(c) g1,
-# at the mix whose g0' is best conditioned
-_PENCIL_MIXES = ((1.0, 0.0), (0.5 ** 0.5, 0.5 ** 0.5), (0.5 ** 0.5, 0.5 ** 0.5 * 1j),
-                 (0.6, 0.8 * np.exp(0.5j)))
+# unitary mixes (c, s) of a Gamma factor's columns, Moebius maps of t: the pencil is read
+# as g0' + t g1', g0' = c g0 + s g1, g1' = -conj(s) g0 + conj(c) g1, at the best-conditioned g0'
+_PENCIL_MIXES = np.array([(1.0, 0.0), (0.5 ** 0.5, 0.5 ** 0.5), (0.5 ** 0.5, 0.5 ** 0.5 * 1j),
+                          (0.6, 0.8 * np.exp(0.5j))])
+# most rows of a block-Toeplitz matrix _kronecker decomposes (above, the staircase costs less)
+_TOEPLITZ_UP_TO = 64
 #: The notes clause of the criteria that read a normal form built from the pencil.
 PENCIL_NOTE = "normal form from the Gamma-block pencil"
 
@@ -152,79 +153,128 @@ def reconstruct(bf: BlochForm) -> np.ndarray:
     return rho
 
 
-def _no_rank2_normal_form(n: int, m: int) -> bool:
-    """True when N != M and |M - N| does not divide min(N, M), where King's
-    criterion rules out a normal form of rank at most 2 (see
-    :func:`normal_form`)."""
-    small, large = sorted((n, m))
-    return small < large and small % (large - small) != 0
+@dataclass(frozen=True)
+class _Kronecker:
+    """A pencil's Kronecker canonical form up to eigenvalues: the ascending
+    minimal indices e of its blocks L_e = [I | 0] + t [0 | I] (e x (e + 1),
+    ``right``) and L_e^T (``left``), its regular part's size and whether that
+    has a Jordan block, and the rows phi_i of :func:`normal_form` if it is a
+    diagonalisable regular N x N pencil (else None)."""
+
+    right: tuple[int, ...]
+    left: tuple[int, ...]
+    regular: int
+    jordan: bool
+    phi: np.ndarray | None = None
+
+    @property
+    def polystable(self) -> bool:
+        """Whether the pencil has a normal form (see :func:`normal_form`)."""
+        if self.regular:
+            return self.phi is not None
+        return len(set(self.right + self.left)) == 1 and not (self.right and self.left)
+
+    def __str__(self) -> str:
+        parts = [f"L{e}" for e in self.right] + [f"L{e}^T" for e in self.left]
+        if self.regular:
+            jordan = " with a Jordan block" if self.jordan else ""
+            parts.append(f"regular {self.regular} x {self.regular}{jordan}")
+        singular = self.right and len(self.right) == len(self.left)
+        return " + ".join(parts) + (" (singular pencil)" if singular else "")
 
 
-def _three_tangle(g: np.ndarray) -> float:
-    """3-tangle of the purification sum_k |k> (x) g[:, :, k] of a rank-2
-    two-qubit state G G^dag, with G of shape (2, 2, 2): 4 |b^2 - 4ac| / Tr^2
-    for det(s g0 + t g1) = a s^2 + b st + c t^2."""
-    def det(x):
-        return x[0, 0] * x[1, 1] - x[0, 1] * x[1, 0]
-    g0, g1 = g[..., 0], g[..., 1]
-    a, c = det(g0), det(g1)
-    b = det(g0 + g1) - a - c
-    return 4.0 * abs(b * b - 4.0 * a * c) / float(np.vdot(g, g).real) ** 2
+def _staircase(ab: np.ndarray, cut: float) -> tuple[tuple[int, ...], bool, np.ndarray]:
+    """Van Dooren's staircase (Linear Algebra Appl. 27, 103 (1979)) on ab[0] +
+    t ab[1]: its L_e blocks' ascending indices, whether t = 0 has a Jordan
+    block, and the pencil left, with ab[0] of full column rank. Step i keeps
+    the complements of ker ab[0] (dimension k_i) and of ab[1]'s range on it
+    (rank r_i, counting singular values above ``cut``): k_i - r_i blocks L_i
+    end there, and t = 0 has r_i - k_(i+1) Jordan blocks of size i + 1."""
+    indices, jordan, step, last = [], False, 0, 0
+    while ab.shape[2]:
+        _, s, vh = np.linalg.svd(ab[0])
+        rank = int(np.count_nonzero(s > cut))
+        kernel = ab.shape[2] - rank
+        if not kernel:
+            break
+        u, s, _ = np.linalg.svd(ab[1] @ vh[rank:].conj().T)
+        r = int(np.count_nonzero(s > cut))
+        jordan |= step > 1 and last > kernel
+        indices += [step] * (kernel - r)
+        step, last = step + 1, r
+        ab = u[:, r:].conj().T @ ab @ vh[:rank].conj().T
+    return tuple(indices), jordan or (step > 1 and last > 0), ab
 
 
-def _no_normal_form(g: np.ndarray, rank_tol: float) -> bool:
-    """True when no normal form of the state G G^dag can be reached, with G
-    of shape (n, m, rank): rank at most 2 on a shape where
-    :func:`_no_rank2_normal_form` holds, or a rank-2 two-qubit state of the
-    W class (3-tangle at most ``rank_tol``). See :func:`normal_form`."""
+def _toeplitz_full_rank(h: np.ndarray, d: int, root: float) -> bool:
+    """Whether every singular value of the (d + 2) N x (d + 1) M matrix of the
+    pencil h0 + t h1 on vector polynomials of degree d (h0 at block (i, i),
+    h1 at block (i + 1, i)) is above ``root`` times the largest."""
+    n, m, _ = h.shape
+    i = np.arange(d + 1)
+    toeplitz = np.zeros((d + 2, n, d + 1, m), dtype=complex)
+    toeplitz[i, :, i], toeplitz[i + 1, :, i] = h[..., 0], h[..., 1]
+    s = np.linalg.svd(toeplitz.reshape((d + 2) * n, (d + 1) * m), compute_uv=False)
+    return bool(s[-1] > root * s[0])
+
+
+def _kronecker(g: np.ndarray, rank_tol: float) -> _Kronecker | None:
+    """The Kronecker structure of the pencil g0 + t g1 of a Gram factor ``g``
+    of shape (N, M, 2); None for another rank.
+
+    A rank counts the singular values above sqrt(rank_tol) times the
+    largest, that of the best mixed g0' of ``_PENCIL_MIXES``. On N x N a
+    full-rank g0' leaves no L block. On N = q k + r < M = N + k, small
+    matrices settle the generic (k - r) L_q + r L_(q+1): full column rank
+    at degree q - 1 leaves no L_e with e < q, full row rank at degree q (if
+    r > 0) leaves k - r blocks L_q, and counting does the rest (N > M is
+    read transposed). Else :func:`_staircase` gives the right minimal
+    indices, and on the conjugate transpose of what it leaves the left
+    ones; the regular part left has a Jordan block when g0'^-1 g1' has
+    rank-deficient eigenvectors.
+    """
     n, m, rank = g.shape
-    if rank > 2:
-        return False
-    if _no_rank2_normal_form(n, m):
-        return True
-    return g.shape == (2, 2, 2) and _three_tangle(g) <= rank_tol
-
-
-def _pencil_vectors(g: np.ndarray, bound: float) -> np.ndarray | None:
-    """Rows phi_i = (1, lambda_i) / |(1, lambda_i)| for the eigenvalues
-    lambda_i of D = g0^-1 g1, the pencil of the two columns of the (N, N, 2)
-    factor ``g`` after the best conditioned of ``_PENCIL_MIXES``; None unless
-    g0 and D's eigenvector matrix V both have condition number at most
-    ``bound`` (a singular pencil fails the first, a defective one the second)."""
-    c, s = np.array(_PENCIL_MIXES).T
-    g0 = c[:, None, None] * g[..., 0] + s[:, None, None] * g[..., 1]
-    conds = np.linalg.cond(g0)
-    best = int(np.argmin(conds))
-    if not conds[best] <= bound:
+    if rank != 2:
         return None
-    g1 = -np.conj(s[best]) * g[..., 0] + np.conj(c[best]) * g[..., 1]
-    lam, v = np.linalg.eig(np.linalg.solve(g0[best], g1))
-    if not np.linalg.cond(v) <= bound:
-        return None
-    phi = np.stack([np.ones_like(lam), lam], axis=1)
-    return phi / np.linalg.norm(phi, axis=1, keepdims=True)
-
-
-def _l_eps_pencil(g: np.ndarray, bound: float) -> bool:
-    """True when the pencil g0 + t g1 of the (N, M, 2) factor ``g``, N < M
-    with k = M - N dividing N, is k copies of L_eps, eps = N / k: the square
-    (eps + 1) N x eps M block-Toeplitz matrix of the pencil on vector
-    polynomials of degree eps - 1 (g0 at block (d, d), g1 at block (d + 1,
-    d)) has condition number at most ``bound``. See :func:`normal_form`."""
-    n, m, _ = g.shape
-    eps = n // (m - n)
-    toeplitz = np.zeros(((eps + 1) * n, eps * m), dtype=complex)
-    for d in range(eps):
-        toeplitz[d * n:(d + 1) * n, d * m:(d + 1) * m] = g[..., 0]
-        toeplitz[(d + 1) * n:(d + 2) * n, d * m:(d + 1) * m] = g[..., 1]
-    return bool(np.linalg.cond(toeplitz) <= bound)
+    root = np.sqrt(rank_tol)
+    small, k = min(n, m), abs(m - n)
+    q, r = divmod(small, k) if k else (0, 0)
+    if k and (q + 1 + (r > 0)) * small <= _TOEPLITZ_UP_TO:
+        h = g if n < m else g.transpose(1, 0, 2)
+        if all(_toeplitz_full_rank(h, d, root) for d in [q - 1] * (q > 0) + [q] * (r > 0)):
+            blocks = (q,) * (k - r) + (q + 1,) * r
+            return _Kronecker(blocks, (), 0, False) if n < m else _Kronecker((), blocks, 0, False)
+    c, t = _PENCIL_MIXES.T
+    mixed = c[:, None, None] * g[..., 0] + t[:, None, None] * g[..., 1]
+    s = np.linalg.svd(mixed, compute_uv=False)
+    with np.errstate(divide="ignore"):
+        best = int(np.argmin(s[:, 0] / s[:, -1]))
+    a, b = mixed[best], -np.conj(t[best]) * g[..., 0] + np.conj(c[best]) * g[..., 1]
+    right, left, jordan = (), (), False
+    if not (n == m and s[best, -1] > root * s[best, 0]):
+        cut = root * s[best, 0]
+        right, jordan, ab = _staircase(np.stack([a, b]), cut)
+        left, _, ab = _staircase(ab.conj().transpose(0, 2, 1), cut)
+        a, b = ab.conj().transpose(0, 2, 1)
+    regular, size, phi = n - sum(right) - sum(left) - len(left), a.shape[0], None
+    if size and size == a.shape[1]:
+        lam, v = np.linalg.eig(np.linalg.solve(a, b))
+        s = np.linalg.svd(v, compute_uv=False)
+        jordan = jordan or not s[-1] > root * s[0]
+        if not (right or left or jordan):
+            # an eigenvalue the staircase took off at t = 0 has the row (0, 1)
+            phi = np.zeros((n, 2), dtype=complex)
+            phi[:size, 0], phi[:size, 1], phi[size:, 1] = 1.0, lam, 1.0
+            phi /= np.linalg.norm(phi, axis=1, keepdims=True)
+    return _Kronecker(right, left, regular, jordan, phi)
 
 
 @lru_cache(maxsize=None)
 def _balanced_form(n: int, m: int) -> tuple[_PencilForm, CorrelationSVD]:
     """The normal form of every state on N x M, N != M, whose pencil is k =
     |M - N| copies of L_eps (eps = min(N, M) / k), with its correlation
-    singular values; built on the first call for each shape.
+    singular values; built on the first call for each shape (the filters
+    to the KCF, then diagonal ones in each block, reach it).
 
     Block b of the factor holds g0 = sum_i a_i |i, i> and g1 = sum_i b_i |i,
     i+1> on rows b eps + i and columns b (eps + 1) + i (read transposed when
@@ -260,33 +310,29 @@ def _normal_form_steps(
     n, m = rho.dims
     tensor = rho.matrix.reshape(n, m, n, m)
     rho_a, rho_b = np.einsum("jmkm->jk", tensor), np.einsum("jmjn->mn", tensor)
-    for side, dim in ((rho_a, n), (rho_b, m)):
-        w = np.linalg.eigvalsh((side + side.conj().T) / 2.0)
-        if int(numerics.support(w, rank_tol).sum()) < dim:
-            raise RankDeficientError(
-                f"marginal of dimension {dim} is rank deficient; reduce the support first")
-    eye_a = np.eye(n) / n
-    eye_b = np.eye(m) / m
+    for side in (np.stack([rho_a, rho_b]),) if n == m else (rho_a, rho_b):
+        w = np.linalg.eigvalsh((side + numerics.dagger(side)) / 2.0)
+        if not numerics.support(w, rank_tol).all():
+            raise RankDeficientError(f"marginal of dimension {side.shape[-1]} is rank "
+                                     "deficient; reduce the support first")
+    eye_a, eye_b = np.eye(n) / n, np.eye(m) / m
     deviation = max(float(np.abs(rho_a - eye_a).max()), float(np.abs(rho_b - eye_b).max()))
     if deviation <= tol:
         return rho, 0
     # rho = G G^dag with G of shape (n, m, rank); the filters act on G's legs,
     # so every iterate is PSD and no step touches an NM x NM matrix
     g = rho._gram_factor(rank_tol).reshape(n, m, -1)
-    if _no_normal_form(g, rank_tol):
-        raise NoConvergenceError(
-            f"no normal form of rank {g.shape[2]} is reachable on {n} x {m}",
-            iterations=0, reason="no_normal_form")
-    if g.shape[2] == 2:
-        bound = 1.0 / np.sqrt(rank_tol)
-        if n == m:
-            phi = _pencil_vectors(g, bound)
-            if phi is not None:
-                factor = np.zeros((n * n, 2), dtype=complex)
-                factor[:: n + 1] = phi / np.sqrt(n)
-                return _PencilForm._wrap(factor @ factor.conj().T, (n, n), factor), 0
-        elif _l_eps_pencil(g if n < m else g.transpose(1, 0, 2), bound):
+    pencil = _kronecker(g, rank_tol)
+    if pencil is not None:
+        if not pencil.polystable:
+            raise NoConvergenceError(
+                f"no normal form of rank 2 is reachable on {n} x {m}: its pencil is {pencil}",
+                iterations=0, reason="no_normal_form")
+        if n != m:
             return _balanced_form(n, m)[0], 0
+        factor = np.zeros((n * n, 2), dtype=complex)
+        factor[:: n + 1] = pencil.phi / np.sqrt(n)
+        return _PencilForm._wrap(factor @ factor.conj().T, (n, n), factor), 0
     history = [deviation]                # deviation after each completed step
     omega = 1.0
     stalled = 0
@@ -365,50 +411,35 @@ def normal_form(
     until both marginals are within ``tol`` (max-entry distance) of I/d. A
     state already within ``tol`` is returned as it is.
 
-    A state of rank 2, from a ket or a dense matrix alike, is not filtered
-    when its pencil passes a guard: its normal form comes in closed form
-    (the pencil route) and is returned with 0 iterations. A qubit purifies
-    it, so its Gram factor's columns g0, g1 are Gamma blocks up to a unitary
-    mix: the Gamma-block pencil g0 + t g1, an N x M matrix pencil. The route
-    runs after the ``tol`` test and the ``no_normal_form`` rule below, so
-    neither changes.
+    Filtering serves every rank but 2. A state of rank 2, from a ket or a
+    dense matrix alike, gets its normal form in closed form (the pencil
+    route), with 0 iterations, or has none. A qubit purifies it, so its Gram
+    factor's columns g0, g1 are Gamma blocks up to a unitary mix: the
+    Gamma-block pencil g0 + t g1, an N x M matrix pencil and a
+    representation of the Kronecker quiver (two arrows from C^M to C^N) of
+    dimension vector (N, M). The filters act on it by change of basis, and
+    maximally mixed marginals are a zero of the moment map, so by King's
+    criterion (A. D. King, Q. J. Math. 45, 515 (1994)) the filter orbit
+    holds a normal form exactly when the pencil is polystable: a direct sum
+    of stable representations whose dimension vectors are proportional to
+    (N, M). A stable representation is a brick, so its dimension vector (x,
+    y) is a Schur root, (n, n + 1), (n + 1, n) or (1, 1). On N = M the
+    polystable pencils are the diagonalisable regular ones. On N < M, k = M
+    - N divides N and the pencil is k copies of the stable L_eps, eps = N /
+    k, whose normal form is that of :func:`_balanced_form` (N > M is read
+    transposed). After the ``tol`` test :func:`_kronecker` reads the
+    pencil's Kronecker canonical form (KCF); any other rank-2 state is
+    ``no_normal_form`` before the first step, with its KCF in the message:
+    W-class two-qubit states (a Jordan block), the four-term 2x3x3 residual
+    (L_1 + L_1^T), and every state on 3 x 5 or another shape where |M - N|
+    does not divide min(N, M).
 
     On N x N, after a unitary mix of the columns (a non-unitary one would
     change the state), g0 is invertible and D = g0^-1 g1 = V diag(lambda)
     V^-1; the filters V^-1 g0^-1 and V^T take the state to sum_i |ii> (x)
     (|0> + lambda_i |1>), and rescaling each term gives the normal form
     sum_ij |ii><jj| <phi_j|phi_i> / N with phi_i = (1, lambda_i) / |(1,
-    lambda_i)| (Chitambar, Duan and Shi, PRL 101, 140502). The guard is that
-    both g0 and V have condition number at most 1/sqrt(rank_tol).
-
-    On N < M the rule below leaves only k = M - N dividing N; let eps = N /
-    k. A minimal index is a degree in the pencil's Kronecker canonical form
-    (KCF): blocks L_e = [I | 0] + t [0 | I] of size e x (e + 1), their
-    transposes L_e^T and a regular part. Let T be the square (eps + 1) N x
-    eps M block-Toeplitz matrix with g0 at block (d, d) and g1 at block
-    (d + 1, d), the pencil acting on vector polynomials of degree eps - 1.
-    If T is invertible, no L_e has e < eps, since its kernel polynomial of
-    degree e would lie in T's kernel. Counting then forces the KCF: with
-    blocks L_{e_i}, L^T_{h_j} and a regular part of size r, N = sum e_i +
-    sum (h_j + 1) + r and M = sum (e_i + 1) + sum h_j + r, so there are
-    k more L blocks than L^T blocks, and N >= sum e_i >= k eps = N makes
-    every inequality an equality: exactly k blocks L_eps, no L^T and no
-    regular part. The filters that take the pencil to its KCF, then filters
-    that are diagonal in each block, scale each block's g0 = sum_i |i, i>
-    and g1 = sum_i |i, i+1> to a_i and b_i with |a_i|^2 = (eps - i) / (k eps
-    (eps + 1)) and |b_i|^2 = (i + 1) / (k eps (eps + 1)), whose rows weigh
-    1/N and whose columns weigh 1/M: the balanced state, which depends only
-    on (N, M) and is built once per shape (normal forms of one filter orbit
-    agree up to local unitaries, which keep the correlation singular
-    values). The guard is cond(T) <= 1/sqrt(rank_tol). An N > M state is
-    read transposed.
-
-    Every other state is filtered: rank other than 2, a singular N x N
-    pencil (det(s g0 + t g1) = 0 for all s, t, as for the four-term 2x3x3
-    below) and a pencil that fails its guard (a defective D; W + eps|111>
-    with a 3-tangle below about 1.8 rank_tol; an N < M pencil with a minimal
-    index below eps, such as L_1 + L_3 on 4 x 6, which has no normal form
-    and stalls).
+    lambda_i)| (Chitambar, Duan and Shi, PRL 101, 140502).
 
     The relaxation factor w adapts as the run goes (over-relaxed Sinkhorn
     scaling, Thibault et al., arXiv:1711.01851). The first 8 steps are a
@@ -435,50 +466,11 @@ def normal_form(
     :class:`NoConvergenceError` if the iteration cannot reach the normal
     form; its ``reason`` is ``cap``, ``stalled`` (marginals frozen above
     ``tol`` for 30 steps), ``breakdown`` (a marginal left the PSD cone or
-    the state collapsed) or ``no_normal_form`` (the shape has none of the
-    state's rank, or the state is a W-class two-qubit state, see below;
-    raised before the first step). Callers may fall back to analyzing the
-    unfiltered state (the filtering cannot create or destroy entanglement,
-    so nothing is lost except the filtered-only criteria).
-
-    Filtering keeps the rank, and some shapes have no normal form of rank 2,
-    which is the rank of every pure-state residual. The pencil of a rank-2
-    state is a representation of the Kronecker quiver (two arrows from C^M
-    to C^N) with dimension vector (N, M), the filters act on it by change of
-    basis, and maximally mixed marginals are a zero of the moment map. By
-    King's criterion (A. D. King, Q. J. Math. 45, 515 (1994)) the filter
-    orbit holds a normal form exactly when the representation is
-    polystable: a direct sum of stable representations whose dimension
-    vectors are all proportional to (N, M). A stable representation is a
-    brick, so its dimension vector (x, y) is a Schur root, and the Kronecker
-    quiver's roots satisfy (x - y)^2 <= 1: (n, n + 1), (n + 1, n) or (1, 1).
-    For N < M only (eps, eps + 1) with eps / (eps + 1) = N / M is
-    proportional, so the state has a normal form exactly when k = M - N
-    divides N and the pencil is k copies of the stable L_eps, eps = N / k,
-    the pencil route's case. On N = M only (1, 1) is proportional: the
-    polystable pencils are the diagonalisable regular ones that the N x N
-    route takes, and a W-class or singular pencil is not one. This is
-    necessary and sufficient for rank 2. A state of rank at most 2 on N x M,
-    N != M, with |M - N| not dividing min(N, M) is reported as
-    ``no_normal_form`` without filtering: 2x3x5, 2x4x7, 2x5x7, 2x7x9 and
-    2x7x10 residuals among others (this contains 3N/2 < M < 2N, where N /
-    (M - N) lies strictly between 1 and 2).
-
-    Special states fail too. A rank-2 two-qubit state G G^dag is W-class
-    when its purification sum_k |k> (x) g_k has zero 3-tangle 4 |b^2 - 4ac|
-    (Coffman, Kundu and Wootters, PRA 61, 052306), where det(s g_0 + t g_1)
-    = a s^2 + b st + c t^2; the value is invariant under local unitaries and
-    under unitary mixing of the columns g_k. Such a state has no normal form
-    that finite filters reach (Verstraete, Dehaene and De Moor, PRA 68,
-    012103): a rank-2 two-qubit normal form is Bell-diagonal, and the span
-    of any two Bell states holds exactly two product vectors, while a
-    W-class range (a double root of the pencil) holds exactly one, and
-    invertible filters preserve that count. A rank-2 two-qubit state with a
-    3-tangle at most ``rank_tol`` is reported as ``no_normal_form`` without
-    filtering. States just above it take the pencil route, except in a guard
-    band up to about 1.8 rank_tol, where filtering runs to the cap (it would
-    up to a 3-tangle of about 6e-4 along W + eps|111>). The four-term 2x3x3
-    residual stalls at deviation 1/3.
+    the state collapsed) or ``no_normal_form`` (a rank-2 state whose pencil
+    is not polystable, raised before the first step). Callers may fall back
+    to analyzing the unfiltered state (the filtering cannot create or
+    destroy entanglement, so nothing is lost except the filtered-only
+    criteria).
     """
     filtered, _ = _normal_form_steps(rho, tol=tol, rank_tol=rank_tol)
     return filtered

@@ -38,9 +38,8 @@ class NoConvergenceError(QlossError):
 
     ``reason`` says why it stopped: ``cap`` (the iteration cap), ``stalled``
     (marginals frozen above the tolerance), ``breakdown`` (a marginal left
-    the PSD cone or the state collapsed) or ``no_normal_form`` (the shape
-    admits no normal form of the state's rank, or the state is a W-class
-    two-qubit state; decided before any step).
+    the PSD cone or the state collapsed) or ``no_normal_form`` (a rank-2
+    state whose pencil has no normal form; decided before any step).
     """
 
     def __init__(self, message, iterations=None, reason=None):

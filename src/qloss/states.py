@@ -38,7 +38,7 @@ class StateVector:
             raise DimensionMismatchError(
                 f"amplitude vector of length {amps.size} does not match dims {dims}")
         norm2 = float(np.vdot(amps, amps).real)
-        if abs(norm2 - 1.0) > NORM_ATOL:
+        if not abs(norm2 - 1.0) <= NORM_ATOL:
             raise InvalidParamsError(f"state vector is not normalized (|psi|^2 = {norm2!r})")
         amps.setflags(write=False)
         object.__setattr__(self, "dims", dims)
@@ -47,8 +47,17 @@ class StateVector:
     @classmethod
     def create(cls, amplitudes, dims, normalize: bool = True) -> "StateVector":
         amps = np.asarray(amplitudes, dtype=complex).reshape(-1).copy()
+        bad = np.flatnonzero(~np.isfinite(amps))
+        if bad.size:
+            raise InvalidParamsError(f"state vector has {bad.size} non-finite amplitude(s), "
+                                     f"the first {amps[bad[0]]} at index {bad[0]}")
         if normalize:
-            norm = float(np.linalg.norm(amps))
+            with np.errstate(over="ignore"):
+                norm = float(np.linalg.norm(amps))
+            # squares that over- or underflow: divided by the largest modulus first
+            if not 1e-300 < norm < np.inf and (peak := np.abs(amps).max()) > 1e-300:
+                amps /= peak
+                norm = float(np.linalg.norm(amps))
             if norm <= 1e-300:
                 raise EmptyStateError("state vector has zero norm")
             amps /= norm

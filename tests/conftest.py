@@ -7,7 +7,6 @@ from qloss import bloch
 
 @pytest.fixture
 def filtering_only(monkeypatch):
-    """Turn both pencil routes of the normal form off, so that a rank-2
-    state is filtered wherever the ``no_normal_form`` rule lets it be."""
-    monkeypatch.setattr(bloch, "_pencil_vectors", lambda g, bound: None)
-    monkeypatch.setattr(bloch, "_l_eps_pencil", lambda g, bound: False)
+    """Turn the pencil route of the normal form off, so that a rank-2 state
+    is filtered as a state of any other rank is."""
+    monkeypatch.setattr(bloch, "_kronecker", lambda g, rank_tol: None)

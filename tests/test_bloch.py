@@ -1,10 +1,8 @@
 """Bloch decomposition, reconstruction, normal form, correlation SVD."""
 
-from unittest import mock
-
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, example, given, settings
+from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 from qloss import (
@@ -27,7 +25,7 @@ from qloss import (
     w,
 )
 from qloss import bloch
-from qloss.bloch import NF_MAX_ITER, NF_TOL, PENCIL_NOTE, _normal_form_steps
+from qloss.bloch import NF_MAX_ITER, NF_TOL, PENCIL_NOTE, _kronecker, _normal_form_steps
 from qloss.criteria import Verdict, kf_criterion
 from qloss.cli import report_to_dict
 from qloss.errors import NoConvergenceError, NotPSDError, RankDeficientError
@@ -166,7 +164,9 @@ def test_normal_form_rejects_rank_deficient_marginal():
         normal_form(pure_product)
 
 
-def test_normal_form_reports_non_convergence():
+def test_normal_form_reports_non_convergence(filtering_only):
+    # the four-term residual, filtered although its pencil rules a normal
+    # form out
     residual = _residual(parse_ket("|010> + |001> + |112> + |121>", (2, 3, 3)))
     with pytest.raises(NoConvergenceError) as err:
         normal_form(residual)
@@ -223,19 +223,18 @@ def test_shapes_without_a_rank2_normal_form_stop_before_filtering(index):
 
 @pytest.mark.parametrize("dims", [(3, 5), (4, 7), (5, 7), (7, 9)])
 def test_rank2_residuals_never_reach_a_normal_form_when_3n_2_lt_m_lt_2n(
-        dims, monkeypatch, filtering_only):
-    # pins King's criterion behind the no_normal_form shortcut, on shapes
-    # with 3N/2 < M < 2N and on 5x7 and 7x9, where M - N does not divide N
-    # either: with the shortcut off, neither the plain nor the relaxed loop
-    # gets there, and the relaxed loop's back-off leaves the stall detector
-    # working
-    assert bloch._no_rank2_normal_form(*dims)
-    monkeypatch.setattr(bloch, "_no_rank2_normal_form", lambda n, m: False)
+        dims, filtering_only):
+    # pins King's criterion behind the no_normal_form rule, on shapes with
+    # 3N/2 < M < 2N and on 5x7 and 7x9, where M - N does not divide N
+    # either: with the pencil route off, neither the plain nor the relaxed
+    # loop gets there, and the relaxed loop's back-off leaves the stall
+    # detector working
     rng = np.random.default_rng(17)
     n, m = dims
     for _ in range(4):
         amps = rng.normal(size=2 * n * m) + 1j * rng.normal(size=2 * n * m)
         residual = _residual(StateVector.create(amps, (2, n, m)))
+        assert not _kronecker(residual._gram_factor().reshape(n, m, 2), RANK_TOL).polystable
         assert sinkhorn_oracle(residual.matrix, dims, tol=NF_TOL)[0] is None
         with pytest.raises(NoConvergenceError) as err:
             _normal_form_steps(residual, tol=NF_TOL)
@@ -297,8 +296,8 @@ def _normal_form_inputs(draw):
     """Residuals of Gaussian 2 x N x M states, 2 <= N <= M <= min(2N, 8),
     on the shapes that keep a rank-2 normal form possible."""
     n = draw(st.integers(2, 8))
-    m = draw(st.sampled_from([
-        k for k in range(n, min(2 * n, 8) + 1) if not bloch._no_rank2_normal_form(n, k)]))
+    m = draw(st.sampled_from(
+        [k for k in range(n, min(2 * n, 8) + 1) if k == n or n % (k - n) == 0]))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     amps = rng.normal(size=2 * n * m) + 1j * rng.normal(size=2 * n * m)
     return _residual(StateVector.create(amps, (2, n, m)))
@@ -361,17 +360,25 @@ def _stop(rho):
 @example(_w_plus(1e-8))
 @example(_w_plus(1e-4))
 @example(_w_plus(1e-2))
-def test_w_class_shortcut_fires_iff_the_three_tangle_vanishes(state):
-    # the oracle reads the 8 amplitudes, not the residual's Gram factor
+def test_three_qubit_pencil_stops_at_step_0_iff_it_has_a_jordan_block(state):
+    # these draws keep their 3-tangle at most 1e-11 or at least 3e-8, far
+    # from where a Jordan block stops being resolved (see below); no draw
+    # is filtered
     residual = _residual(state)
-    fires = three_tangle(state.amplitudes) <= RANK_TOL
-    with mock.patch.object(bloch, "_no_normal_form", lambda g, rank_tol: False):
-        off = _stop(residual)
-    if fires:
-        assert _stop(residual) == (0, "no_normal_form")
-        assert off == (NF_MAX_ITER, "cap")
-    else:
-        assert _stop(residual) == off
+    pencil = _kronecker(residual._gram_factor().reshape(2, 2, 2), RANK_TOL)
+    assert pencil.jordan == (three_tangle(state.amplitudes) <= RANK_TOL)
+    assert _stop(residual) == (0, "no_normal_form" if pencil.jordan else None)
+
+
+@pytest.mark.parametrize("eps, stop", [
+    (4e-11, "no_normal_form"), (5e-11, "no_normal_form"), (7e-11, None), (1e-10, None)])
+def test_w_plus_eps_on_both_sides_of_the_jordan_boundary(eps, stop):
+    # the eigenvector matrix of W + eps|111>'s pencil has condition number
+    # 1/sqrt(rank_tol) at eps = 5.8e-11 (3-tangle 1.78 rank_tol): below it
+    # the pencil has a Jordan block, above it the pencil route takes it
+    report = classify_qubit_loss(_w_plus(eps))
+    assert (report.nf_iterations, report.nf_stop) == (0, stop)
+    assert 0.9 * RANK_TOL < three_tangle(_w_plus(eps).amplitudes) < 3.1 * RANK_TOL
 
 
 def _ky_fan(report):
@@ -442,19 +449,18 @@ def test_pencil_takes_unbalanced_ghz_through_its_singular_first_block():
     assert kf.statistic == pytest.approx(_oracle_ky_fan(state), rel=1e-10)
 
 
-def test_pencil_route_falls_back_to_filtering():
+def test_singular_and_near_w_pencils_stop_at_step_0():
     # a singular pencil: det(s g0 + t g1) vanishes for every s, t
     report = classify_qubit_loss(parse_ket("|010> + |001> + |112> + |121>", (2, 3, 3)))
     assert report.reduced_dims == (3, 3)
-    assert (report.normal_form_status, report.nf_stop) == ("diverged", "stalled")
-    # W + eps|111>: a 3-tangle of 1.2e-10 passes the W-class rule, but the
+    assert (report.normal_form_status, report.nf_stop, report.nf_iterations) == (
+        "diverged", "no_normal_form", 0)
+    # W + eps|111>: a 3-tangle of 1.2e-10, above rank_tol, but the
     # eigenvector matrix V has condition number 1.2e5 > 1/sqrt(rank_tol)
-    amps = w().amplitudes.copy()
-    amps[7] += 4e-11
-    state = StateVector.create(amps, (2, 2, 2))
+    state = _w_plus(4e-11)
     assert RANK_TOL < three_tangle(state.amplitudes) < 2 * RANK_TOL
     report = classify_qubit_loss(state)
-    assert (report.nf_stop, report.nf_iterations) == ("cap", NF_MAX_ITER)
+    assert (report.nf_stop, report.nf_iterations) == ("no_normal_form", 0)
 
 
 @pytest.mark.parametrize("n, draws", [(2, 6), (3, 4), (4, 3), (6, 2), (9, 2), (16, 1), (24, 1)])
@@ -526,13 +532,13 @@ def test_kronecker_pencil_takes_the_l3_ket_to_its_filtered_value(request):
     assert kf.statistic == pytest.approx(_ky_fan(dense).statistic, rel=1e-12)
 
 
-def test_kronecker_pencil_with_a_small_minimal_index_still_filters():
-    # L_1 + L_3 on 4 x 6: M - N = 2 divides N, but the pencil is not 2 L_2,
-    # so it has no normal form; it fails the guard and stalls
+def test_kronecker_pencil_with_a_small_minimal_index_has_no_normal_form():
+    # L_1 + L_3 on 4 x 6: M - N = 2 divides N, but the pencil is not 2 L_2
     ket = "|000> + |012> + |023> + |034> + |101> + |113> + |124> + |135>"
     report = classify_qubit_loss(parse_ket(ket, (2, 4, 6)))
     assert report.reduced_dims == (4, 6)
-    assert (report.normal_form_status, report.nf_stop) == ("diverged", "stalled")
+    assert (report.normal_form_status, report.nf_stop, report.nf_iterations) == (
+        "diverged", "no_normal_form", 0)
 
 
 def test_kronecker_pencil_reports_no_normal_form_where_m_minus_n_does_not_divide_n():
@@ -542,6 +548,117 @@ def test_kronecker_pencil_reports_no_normal_form_where_m_minus_n_does_not_divide
     report = classify_qubit_loss(parse_ket(ket, (2, 5, 7)))
     assert report.reduced_dims == (5, 7)
     assert (report.nf_stop, report.nf_iterations) == ("no_normal_form", 0)
+
+
+@pytest.mark.parametrize("ket, dims, pencil", [
+    ("|010> + |001> + |112> + |121>", (2, 3, 3), "L1 + L1^T (singular pencil)"),
+    ("|000> + |012> + |023> + |034> + |101> + |113> + |124> + |135>", (2, 4, 6), "L1 + L3"),
+    ("|000> + |011> + |023> + |034> + |045> + |101> + |112> + |124> + |135> + |146>",
+     (2, 5, 7), "L2 + L3"),
+    ("|001> + |010> + |100>", (2, 2, 2), "regular 2 x 2 with a Jordan block"),
+], ids=["four_term", "l1_l3", "l2_l3", "w"])
+def test_no_normal_form_names_the_pencil(ket, dims, pencil):
+    _, n, m = dims
+    with pytest.raises(NoConvergenceError) as err:
+        _normal_form_steps(_gamma_residual(parse_ket(ket, dims)))
+    assert (err.value.reason, err.value.iterations) == ("no_normal_form", 0)
+    assert str(err.value) == (
+        f"no normal form of rank 2 is reachable on {n} x {m}: its pencil is {pencil}")
+
+
+def _block_sum(blocks):
+    """The pencil (g0, g1) that is the direct sum of ``blocks``, pairs of
+    equally shaped matrices."""
+    n, m = (sum(b[0].shape[axis] for b in blocks) for axis in (0, 1))
+    g = np.zeros((n, m, 2), dtype=complex)
+    row = col = 0
+    for g0, g1 in blocks:
+        rows, cols = g0.shape
+        g[row:row + rows, col:col + cols] = np.stack([g0, g1], axis=-1)
+        row, col = row + rows, col + cols
+    return g
+
+
+def _l_block(e):
+    """L_e = [I | 0] + t [0 | I], of size e x (e + 1)."""
+    return np.eye(e, e + 1), np.eye(e, e + 1, 1)
+
+
+@st.composite
+def _kronecker_sums(draw):
+    """A pencil of at most 6 x 8 built from blocks L_e, L_e^T (e <= 3),
+    Jordan blocks of size 2 or 3 and 1 x 1 blocks, all with distinct
+    eigenvalues, under random invertible (P, Q) of condition number at
+    most 4, with the structure it was built from."""
+    right = draw(st.lists(st.integers(0, 3), max_size=3))
+    left = draw(st.lists(st.integers(0, 3), max_size=3))
+    jordan = draw(st.lists(st.integers(2, 3), max_size=2))
+    diagonal = draw(st.integers(0, 4))
+    regular = sum(jordan) + diagonal
+    n = sum(right) + sum(left) + len(left) + regular
+    m = sum(right) + len(right) + sum(left) + regular
+    # at least one block that is not zero (L_0 and L_0^T are)
+    assume(1 <= n <= 6 and 1 <= m <= 8 and n + m > len(right) + len(left))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    count = len(jordan) + diagonal
+    lam = rng.uniform(0.5, 2.0, count) * np.exp(
+        2j * np.pi * (np.arange(count) + rng.uniform(0.0, 0.5)) / count)
+    blocks = [_l_block(e) for e in right] + [(a.T, b.T) for a, b in map(_l_block, left)]
+    blocks += [(lam[i] * np.eye(size) + np.eye(size, k=1), np.eye(size))
+               for i, size in enumerate(jordan)]
+    blocks += [(lam[i:i + 1, None], np.ones((1, 1))) for i in range(len(jordan), count)]
+    g = _block_sum(blocks)
+
+    def invertible(dim):
+        scale = rng.uniform(0.5, 2.0, dim)
+        return random_unitary_oracle(rng, dim) * scale @ random_unitary_oracle(rng, dim)
+
+    g = np.einsum("ij,jkl,km->iml", invertible(n), g, invertible(m))
+    return g / np.linalg.norm(g), (tuple(sorted(right)), tuple(sorted(left)), regular,
+                                   bool(jordan))
+
+
+@settings(max_examples=80, deadline=None, database=None, derandomize=True)
+@given(_kronecker_sums())
+def test_kronecker_structure_of_a_direct_sum_of_blocks(case):
+    g, want = case
+    pencil = _kronecker(g, RANK_TOL)
+    assert (pencil.right, pencil.left, pencil.regular, pencil.jordan) == want
+    assert (pencil.phi is not None) == (not (want[0] or want[1] or want[3]))
+
+
+@pytest.mark.parametrize("dims", [(1, 3), (2, 3), (3, 5), (4, 6), (5, 7), (4, 7), (6, 4), (3, 8)])
+def test_toeplitz_ranks_and_the_staircase_agree_on_the_generic_structure(dims, monkeypatch):
+    # a Gaussian N x M pencil, N < M, is (k - r) L_q + r L_(q+1) with
+    # N = q k + r, k = M - N (transposed for N > M), whether small
+    # block-Toeplitz matrices or the staircase read it
+    n, m = dims
+    small, k = min(dims), abs(m - n)
+    q, r = divmod(small, k)
+    blocks = (q,) * (k - r) + (q + 1,) * r
+    want = (blocks, (), 0, False) if n < m else ((), blocks, 0, False)
+    rng = np.random.default_rng(n * m)
+    for _ in range(3):
+        g = rng.normal(size=(n, m, 2)) + 1j * rng.normal(size=(n, m, 2))
+        for up_to in (bloch._TOEPLITZ_UP_TO, 0):
+            monkeypatch.setattr(bloch, "_TOEPLITZ_UP_TO", up_to)
+            pencil = _kronecker(g, RANK_TOL)
+            assert (pencil.right, pencil.left, pencil.regular, pencil.jordan) == want
+
+
+def test_pencil_with_an_eigenvalue_at_every_mix_goes_down_the_staircase():
+    # a diagonal 4 x 4 pencil with an eigenvalue where each of the four
+    # mixed g0' is singular: the staircase takes one eigenvalue off at t = 0,
+    # and its row of phi is (0, 1)
+    c, s = np.array(bloch._PENCIL_MIXES).T
+    g = np.stack([np.diag(s), np.diag(-c)], axis=-1) / 2.0
+    pencil = _kronecker(g, RANK_TOL)
+    assert (pencil.right, pencil.left, pencil.regular, pencil.jordan) == ((), (), 4, False)
+    assert pencil.polystable
+    # phi_i is (s_i, -c_i) up to a phase
+    want = np.abs(np.conj(s)[:, None] * s + np.conj(c)[:, None] * c)
+    got = np.abs(pencil.phi.conj() @ pencil.phi.T)
+    assert np.sort(got, axis=None) == pytest.approx(np.sort(want, axis=None), abs=1e-12)
 
 
 @pytest.mark.parametrize("dims", [(2, 2), (3, 3), (2, 3), (3, 4), (4, 6), (6, 9), (4, 3)])

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qloss import (
     Classification,
@@ -228,21 +230,48 @@ def _classify_any(state):
 
 @pytest.mark.parametrize("state", _w_class_residuals(),
                          ids=["w", "example3_2x3", "example3_3x3", "example3_3x4", "density"])
-def test_w_class_residuals_stop_before_filtering(state, monkeypatch):
-    # a rank-2 two-qubit residual with zero 3-tangle has no normal form
-    # reachable by filtering: the shortcut reports it at step 0, where the
-    # loop would run to the cap, and nothing else in the report moves
+def test_w_class_residuals_stop_before_filtering(state, request):
+    # a rank-2 two-qubit residual with zero 3-tangle, whose pencil is a
+    # Jordan block, has no normal form reachable by filtering: it is
+    # reported at step 0, where the loop would run to the cap, and nothing
+    # else in the report moves
     report = _classify_any(state)
     assert report.reduced_dims == (2, 2)
     assert report.normal_form_status == "diverged"
     assert (report.nf_iterations, report.nf_stop) == (0, "no_normal_form")
-    monkeypatch.setattr(bloch, "_no_normal_form", lambda g, rank_tol: False)
+    request.getfixturevalue("filtering_only")
     filtered = _classify_any(state)
     assert (filtered.nf_iterations, filtered.nf_stop) == (NF_MAX_ITER, "cap")
     assert report.classification is filtered.classification is Classification.ROBUST
     for name in ("negativity", "concurrence"):
         assert _measure(report, name) == _measure(filtered, name)
     assert report.criteria == filtered.criteria
+
+
+@st.composite
+def _pure_inputs(draw):
+    """Gaussian 2 x N x M states, 2 <= N, M <= 6, under random local
+    unitaries on all three parties."""
+    n, m = draw(st.integers(2, 6)), draw(st.integers(2, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    amps = rng.normal(size=2 * n * m) + 1j * rng.normal(size=2 * n * m)
+    local = np.kron(random_unitary_oracle(rng, 2),
+                    np.kron(random_unitary_oracle(rng, n), random_unitary_oracle(rng, m)))
+    return StateVector.create(local @ amps, (2, n, m))
+
+
+@settings(max_examples=60, deadline=None, database=None, derandomize=True)
+@given(_pure_inputs())
+def test_pure_input_beyond_2x2_is_ppt_detected_and_never_undetermined(state):
+    # a separable rank-2 state has both local ranks at most 2, and a PPT one
+    # of rank at most its larger local rank is separable (Horodecki,
+    # Lewenstein, Vidal and Cirac, PRA 62, 032310 (2000)): so a rank-2
+    # residual that reduces to more than 2 x 2 is NPT
+    report = classify_qubit_loss(state)
+    n, m = report.reduced_dims
+    if n * m > 4:
+        assert _criterion(report, "ppt").verdict is Verdict.DETECTED
+    assert report.classification is not Classification.UNDETERMINED
 
 
 def test_converged_filtering_has_no_stop_reason():

@@ -76,6 +76,34 @@ def test_state_vector_validation():
         StateVector((2, 2), np.array([1.0, 1.0, 0, 0]))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0.0, np.nan)])
+def test_state_vector_create_names_non_finite_amplitudes(bad):
+    amps = np.array([0, 0, 0, 0, 0, 0, 0, 1], dtype=complex)
+    amps[[2, 5]] = bad
+    with pytest.raises(InvalidParamsError, match="2 non-finite amplitude.*at index 2"):
+        StateVector.create(amps, (2, 2, 2))
+    with pytest.raises(InvalidParamsError, match="non-finite"):
+        StateVector.create(amps, (2, 2, 2), normalize=False)
+
+
+def test_state_vector_refuses_a_nan_norm():
+    # NaN fails every comparison, so the norm test is written to fail on it
+    for amps in (np.full(8, np.nan), np.array([np.nan, 0, 0, 0, 0, 0, 0, 1])):
+        with pytest.raises(InvalidParamsError, match="not normalized"):
+            StateVector((2, 2, 2), amps)
+
+
+@pytest.mark.parametrize("scale", [1e200, 1e-170])
+def test_state_vector_create_normalizes_amplitudes_whose_squares_overflow_or_underflow(scale):
+    state = StateVector.create(np.array([scale, 0, 0, scale]), (2, 2))
+    assert state.amplitudes == pytest.approx(np.array([1, 0, 0, 1]) / np.sqrt(2), abs=1e-15)
+
+
+def test_state_vector_create_refuses_amplitudes_below_the_zero_norm_floor():
+    with pytest.raises(EmptyStateError):
+        StateVector.create(np.array([1e-320, 0, 0, 1e-320]), (2, 2))
+
+
 def test_density_matrix_create_normalizes_and_symmetrizes():
     rho = DensityMatrix.create(4.0 * np.eye(2), (2,))
     np.testing.assert_allclose(rho.matrix, np.eye(2) / 2)
