@@ -308,12 +308,11 @@ def _normal_form_steps(
     if len(rho.dims) != 2:
         raise DimensionMismatchError(f"normal form needs bipartite dims, got {rho.dims}")
     n, m = rho.dims
-    tensor = rho.matrix.reshape(n, m, n, m)
-    rho_a, rho_b = np.einsum("jmkm->jk", tensor), np.einsum("jmjn->mn", tensor)
-    for side in (np.stack([rho_a, rho_b]),) if n == m else (rho_a, rho_b):
-        w = np.linalg.eigvalsh((side + numerics.dagger(side)) / 2.0)
+    # the marginals and their spectra, as reduce_support found them
+    (rho_a, w_a, _), (rho_b, w_b, _) = rho._local_spectra()
+    for w in (w_a, w_b):
         if not numerics.support(w, rank_tol).all():
-            raise RankDeficientError(f"marginal of dimension {side.shape[-1]} is rank "
+            raise RankDeficientError(f"marginal of dimension {w.shape[-1]} is rank "
                                      "deficient; reduce the support first")
     eye_a, eye_b = np.eye(n) / n, np.eye(m) / m
     deviation = max(float(np.abs(rho_a - eye_a).max()), float(np.abs(rho_b - eye_b).max()))

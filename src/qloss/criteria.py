@@ -154,6 +154,12 @@ def stacked_negativity(mats: np.ndarray, dims: tuple[int, int]) -> np.ndarray:
     :class:`QlossError` is raised. PPT members give 0.0, never -0.0. The
     eigenvalues come from :func:`qloss.numerics.eigenvalues`: from ``eigh``
     up to nm = 25, from ``eigvalsh`` with no eigenvectors above.
+
+    Each member is checked for Hermiticity once, on its partial transpose:
+    that only permutes entries, so its deviations are the member's. The
+    partial transpose of a member that is its own (h + h†)/2, as the states
+    :mod:`qloss.states` builds are, is one too, and it goes to LAPACK with no
+    subtraction and no symmetrizing pass.
     """
     w = numerics.eigenvalues(transpose_side(mats, dims, 0))
     neg_sum = -np.minimum(w, 0.0).sum(axis=-1)
@@ -257,9 +263,16 @@ def concurrence(rho: DensityMatrix, budget: RoofBudget | None = None,
                             notes="spin-flip eigenvalue formula")
     # under the rank_tol rule a pure state has 1 - Tr(rho^2) <= 2 (d - 1) rank_tol,
     # since 1 - w1^2 <= 2 (1 - w1); the 1e-12 absorbs the trace's rounding. The
-    # test spares mixed states the eigensolve of the Gram factor.
-    dim = rho.matrix.shape[0]
-    if 1.0 - np.vdot(rho.matrix, rho.matrix).real <= 2 * (dim - 1) * rank_tol + 1e-12:
+    # test spares mixed states the eigensolve of the Gram factor. A kept factor
+    # G answers it from its rank x rank G^dag G, with Tr(rho^2) = |G^dag G|^2 /
+    # Tr(G^dag G)^2; only a dense state reads its NM x NM entries.
+    g = rho._factor
+    if g is None:
+        purity = np.vdot(rho.matrix, rho.matrix).real
+    else:
+        gram = g.conj().T @ g
+        purity = np.vdot(gram, gram).real / gram.trace().real ** 2
+    if 1.0 - purity <= 2 * (rho.matrix.shape[0] - 1) * rank_tol + 1e-12:
         g = rho._gram_factor(rank_tol)
         if g.shape[1] == 1:
             value = concurrence_pure(StateVector.create(g[:, 0], rho.dims)).value

@@ -20,8 +20,12 @@ Conventions, fixed once to avoid cross-module sign/order bugs:
 
 * eigenvalues are returned ascending,
 * singular values are returned descending,
-* spectra are computed from the explicitly symmetrized matrix (h + h†)/2,
-  because downstream entanglement criteria are eigenvalue-sign-sensitive.
+* spectra are those of (h + h†)/2, because downstream entanglement
+  criteria are eigenvalue-sign-sensitive. A matrix that already is its own
+  (h + h†)/2 bit for bit (see :func:`check_hermitian`) goes to LAPACK as it
+  is, with no symmetrizing pass. The states :mod:`qloss.states` builds are
+  such matrices, barring a -0 in their input, and so are their partial
+  transposes, which only permute entries.
 """
 
 from __future__ import annotations
@@ -66,14 +70,39 @@ def _is_square(m: np.ndarray) -> bool:
     return m.ndim >= 2 and m.shape[-1] == m.shape[-2]
 
 
-def check_hermitian(m: np.ndarray, atol: float = HERMITIAN_ATOL, what: str = "matrix") -> None:
+def check_hermitian(m: np.ndarray, atol: float = HERMITIAN_ATOL, what: str = "matrix") -> float:
     """Raise :class:`NotHermitianError` unless ``m`` is a Hermitian matrix, or
-    a stack of them, at ``atol``; the message names the largest deviation."""
+    a stack of them, at ``atol``; the message names the largest deviation.
+
+    Returns that deviation, max |m - m†|. It is 0.0 exactly when the
+    C-contiguous complex ``m`` is its own (m + m†)/2 bit for bit, which is
+    found with no subtraction: m equals m† entry for entry, holds no -0, and
+    no part reaches 2^1023 in modulus, where m + m† would overflow. (The
+    division by 2 mixes the parts of an entry, so a -0 can come out as +0,
+    and LAPACK's reflectors read the signs of zeros.) Any other m that agrees
+    with m† entry for entry reports the smallest subnormal.
+    """
     if not _is_square(m):
         raise NotHermitianError(f"{what} of shape {m.shape} is not square")
-    dev = np.abs(m - dagger(m)).max()
+    if m.dtype == np.complex128 and m.flags.c_contiguous:
+        h = np.conjugate(m.swapaxes(-1, -2), order="C")
+        h += 0.0                            # -0 becomes +0, so no -0 in m can match
+        if (m.view(np.int64) == h.view(np.int64)).all():
+            parts = m.view(np.float64)
+            if parts.max(initial=0.0) < 2.0**1023 and parts.min(initial=0.0) > -(2.0**1023):
+                return 0.0
+    else:
+        h = dagger(m)
+    dev = float(np.abs(m - h).max())
     if not dev <= atol:
         raise NotHermitianError(f"{what} is not Hermitian (max deviation {dev:.3e})")
+    return dev or float(np.finfo(float).smallest_subnormal)
+
+
+def _hermitian_part(h: np.ndarray, atol: float = HERMITIAN_ATOL) -> np.ndarray:
+    """(h + h†)/2 after :func:`check_hermitian` at ``atol``; ``h`` itself when
+    its deviation is 0.0."""
+    return (h + dagger(h)) / 2.0 if check_hermitian(h, atol) else h
 
 
 def eigh(h: np.ndarray, atol: float = HERMITIAN_ATOL) -> tuple[np.ndarray, np.ndarray]:
@@ -83,9 +112,7 @@ def eigh(h: np.ndarray, atol: float = HERMITIAN_ATOL) -> tuple[np.ndarray, np.nd
     and ``h = V diag(w) V†`` per member. Raises :class:`NotHermitianError`
     if the symmetry check fails at ``atol`` on any member.
     """
-    h = np.asarray(h, dtype=complex)
-    check_hermitian(h, atol)
-    w, v = np.linalg.eigh((h + dagger(h)) / 2.0)
+    w, v = np.linalg.eigh(_hermitian_part(np.asarray(h, dtype=complex), atol))
     return w, v
 
 
@@ -99,8 +126,7 @@ def eigenvalues(h: np.ndarray) -> np.ndarray:
     h = np.asarray(h, dtype=complex)
     if not (_is_square(h) and h.shape[-1] > _EIGENVECTORS_UP_TO):
         return eigh(h)[0]
-    check_hermitian(h)
-    return np.linalg.eigvalsh((h + dagger(h)) / 2.0)
+    return np.linalg.eigvalsh(_hermitian_part(h))
 
 
 def singular_values(m: np.ndarray) -> np.ndarray:

@@ -76,6 +76,7 @@ class DensityMatrix:
 
     _factor = None          # Gram factor F, matrix proportional to F F^dag; see _trusted
     _symmetrized = False    # set by create, whose input passed its own Hermitian check
+    _marginals = None       # cache of _local_spectra: the matrix never changes
 
     def __post_init__(self):
         mat = np.asarray(self.matrix, dtype=complex)
@@ -116,9 +117,27 @@ class DensityMatrix:
         eigenvalue on the :func:`numerics.support`, ascending. A kept factor G
         is orthogonalised through G^dag G, else ``matrix`` is diagonalised."""
         g = self._factor
-        w, v = numerics.eigh(self.matrix if g is None else g.conj().T @ g)
+        if g is None:
+            w, v = numerics.eigh(self.matrix)
+        else:
+            # G^dag G is Hermitian by construction: symmetrized as eigh would, unchecked
+            gram = g.conj().T @ g
+            w, v = np.linalg.eigh((gram + numerics.dagger(gram)) / 2.0)
         keep = numerics.support(w, rank_tol)
         return v[:, keep] * np.sqrt(w[keep]) if g is None else g @ v[:, keep]
+
+    def _local_spectra(self) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]:
+        """``(marginal, w, V)`` for each side of a bipartite state: the reduced
+        matrix and its :func:`numerics.eigh`. Computed once per state, since
+        :func:`reduce_support` and the normal form both read them."""
+        if self._marginals is None:
+            n, m = self.dims
+            tensor = self.matrix.reshape(n, m, n, m)
+            sides = np.einsum("jmkm->jk", tensor), np.einsum("jmjn->mn", tensor)
+            # one call on N x N: each member of a stack gets its own call's arithmetic
+            spectra = zip(*numerics.eigh(np.stack(sides))) if n == m else map(numerics.eigh, sides)
+            vars(self)["_marginals"] = tuple((side, w, v) for side, (w, v) in zip(sides, spectra))
+        return self._marginals
 
 
 def normalize_density(matrix) -> np.ndarray:
@@ -134,11 +153,19 @@ def normalize_density(matrix) -> np.ndarray:
 
 
 def _unit_trace(mat: np.ndarray) -> np.ndarray:
-    mat = (mat + numerics.dagger(mat)) / 2.0
-    tr = mat.trace(axis1=-2, axis2=-1).real
+    """(mat + mat^dag)/2 over its real trace, in one new array. The result
+    equals its conjugate transpose entry for entry: the sum is commutative,
+    and dividing by 2 and by a real trace treats an entry and its mirror
+    alike."""
+    # conj(m_ji) + m_ij is m_ij + conj(m_ji), bit for bit
+    out = np.conjugate(mat.swapaxes(-1, -2), order="C")
+    out += mat
+    out /= 2.0
+    tr = out.trace(axis1=-2, axis2=-1).real
     if min(np.abs(tr).flat) <= 1e-300:
         raise InvalidParamsError("matrix has zero trace, cannot normalize")
-    return mat / tr[..., None, None]
+    out /= tr[..., None, None]
+    return out
 
 
 def check_density(mat: np.ndarray) -> None:
@@ -226,8 +253,10 @@ def transpose_side(mats: np.ndarray, dims: tuple[int, int], subsystem: int) -> n
     of the dims ``(n, m)``; returns a new array of the input's shape."""
     n, m = dims
     tensor = mats.reshape(mats.shape[:-2] + (n, m, n, m))
-    out = tensor.swapaxes(-4, -2) if subsystem == 0 else tensor.swapaxes(-3, -1)
-    return out.reshape(mats.shape).copy()
+    out = np.empty(mats.shape, dtype=mats.dtype)
+    out.reshape(tensor.shape)[...] = (tensor.swapaxes(-4, -2) if subsystem == 0
+                                      else tensor.swapaxes(-3, -1))
+    return out
 
 
 def reduce_support(rho: DensityMatrix, rank_tol: float = numerics.RANK_TOL) -> DensityMatrix:
@@ -244,11 +273,9 @@ def reduce_support(rho: DensityMatrix, rank_tol: float = numerics.RANK_TOL) -> D
     if len(rho.dims) != 2:
         raise DimensionMismatchError(f"support reduction needs bipartite dims, got {rho.dims}")
     big_n, big_m = rho.dims
-    tensor = rho.matrix.reshape(big_n, big_m, big_n, big_m)
     basis = []
     ranks = []
-    for marginal in (np.einsum("jmkm->jk", tensor), np.einsum("jmjn->mn", tensor)):
-        w, v = numerics.eigh(marginal)
+    for _, w, v in rho._local_spectra():
         basis.append(v[:, ::-1])
         ranks.append(int(numerics.support(w, rank_tol).sum()))
     n, m = ranks

@@ -32,8 +32,8 @@ from qloss import (
 )
 from qloss import numerics
 from qloss.criteria import stacked_negativity, stacked_wootters
-from qloss.errors import NotPSDError, QlossError
-from qloss.states import normalize_density, transpose_side
+from qloss.errors import NotHermitianError, NotPSDError, QlossError
+from qloss.states import _gamma_residual, normalize_density, transpose_side
 
 from oracles import (
     negativity_oracle,
@@ -423,3 +423,76 @@ def test_stacked_two_qubit_measures_equal_stack_of_one(stack):
         assert ppt_negativity(rho)[1].value == negativity[index]
         assert wootters_concurrence(rho) == concurrence[index]
     assert np.all(negativity <= concurrence + 1e-12)
+
+
+def _reference_negativity(mat, dims):
+    """The negativity by the plain recipe: the partial transpose, (pt +
+    pt^dag)/2 computed in full, and its spectrum from eigh up to dimension 25,
+    from eigvalsh above."""
+    n, m = dims
+    pt = mat.reshape(1, n, m, n, m).swapaxes(1, 3).reshape(1, n * m, n * m).copy()
+    sym = (pt + pt.conj().swapaxes(-1, -2)) / 2.0
+    w = np.linalg.eigh(sym)[0] if n * m <= 25 else np.linalg.eigvalsh(sym)
+    negativity = -np.minimum(w, 0.0).sum(axis=-1)
+    return float(np.where(negativity > 0, negativity, 0.0)[0])
+
+
+@pytest.mark.parametrize("dims", [(2, 2), (3, 3), (5, 5), (5, 6), (6, 6), (12, 12), (14, 14)])
+def test_ppt_negativity_is_the_plain_arithmetic_bit_for_bit(dims):
+    # PT dimension 4 to 196, on both sides of the eigenvector cut: a residual
+    # with its Gamma blocks, a dense density matrix and a separable mixture
+    n, m = dims
+    rng = np.random.default_rng(n * m)
+    states = [_gamma_residual(StateVector.create(random_pure(rng, 2 * n * m), (2, n, m))),
+              DensityMatrix.create(random_density_oracle(rng, n * m), dims),
+              _separable_mixture(rng, n, m)]
+    for rho in states:
+        _, measure = ppt_negativity(rho)
+        assert measure.value == _reference_negativity(rho.matrix, dims)
+
+
+@pytest.mark.parametrize("dims", [(2, 2), (5, 5), (6, 6)])
+def test_stacked_negativity_rejects_a_deviation_of_1e9(dims):
+    rng = np.random.default_rng(sum(dims))
+    dim = dims[0] * dims[1]
+    stack = normalize_density(np.stack([random_density_oracle(rng, dim) for _ in range(3)]))
+    stack[1, dim - 1, 0] += 1e-9
+    with pytest.raises(NotHermitianError, match="max deviation 1.000e-09"):
+        stacked_negativity(stack, dims)
+
+
+def _reference_concurrence(rho, rank_tol=numerics.RANK_TOL):
+    """The pure-residual rule with the purity pre-test on all N M x N M
+    entries, whatever the state keeps, then the rank of the Gram factor."""
+    dim = rho.matrix.shape[0]
+    if 1.0 - np.vdot(rho.matrix, rho.matrix).real <= 2 * (dim - 1) * rank_tol + 1e-12:
+        g = rho._gram_factor(rank_tol)
+        if g.shape[1] == 1:
+            return concurrence_pure(StateVector.create(g[:, 0], rho.dims)).value
+    return None
+
+
+@pytest.mark.parametrize("dims", [(3, 3), (3, 4), (5, 5)])
+@pytest.mark.parametrize("ratio", [0.0, 0.5, 0.9, 1.1, 2.0, 1e3, None])
+def test_concurrence_with_and_without_a_kept_factor(dims, ratio):
+    # a rank-2 Gram factor whose smaller eigenvalue is ratio * rank_tol times
+    # the larger (None: two Gaussian columns): the rank x rank pre-test of a
+    # kept factor decides as the N M x N M one did, and the dense copy agrees
+    n, m = dims
+    rng = np.random.default_rng(n * m)
+    a = random_pure(rng, n * m)
+    b = random_pure(rng, n * m)
+    if ratio is not None:
+        b -= np.vdot(a, b) * a
+        b *= np.sqrt(ratio * numerics.RANK_TOL) / np.linalg.norm(b)
+    g = 3.0 * np.stack([a, b], axis=1)          # a kept factor need not be normalized
+    factored = DensityMatrix._trusted(g @ g.conj().T, dims, factor=g)
+    dense = DensityMatrix._wrap(factored.matrix.copy(), dims)
+    want = _reference_concurrence(factored)
+    assert (want is None) == (ratio is None or ratio > 1.0)
+    got, other = concurrence(factored), concurrence(dense)
+    if want is None:
+        assert got is None and other is None
+    else:
+        assert got.value == want
+        assert other.value == pytest.approx(want, abs=1e-12)

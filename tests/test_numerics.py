@@ -243,3 +243,69 @@ def test_support_of_a_spectrum_without_a_positive_eigenvalue_is_empty():
     assert numerics.support(np.zeros((3, 0))).shape == (3, 0)
     stack = numerics.support(np.array([[-1.0, 0.0], [0.0, 0.0], [0.5, 1.0]]))
     assert stack.tolist() == [[False, False], [False, False], [True, True]]
+
+
+def _hermitian_part(h):
+    """(h + h^dag)/2, computed in full: the reference the kernel must match."""
+    return (h + h.conj().swapaxes(-1, -2)) / 2.0
+
+
+def _with_signed_zeros(rng, h):
+    """``h`` with a third of its entry pairs zeroed and every zero part given a
+    random sign: still Hermitian entry for entry."""
+    zero = rng.random(h.shape) < 1 / 3
+    h = np.where(zero | zero.swapaxes(-1, -2), 0.0, h)
+    parts = h.view(np.float64)
+    parts[(parts == 0.0) & (rng.random(parts.shape) < 0.5)] = -0.0
+    return h
+
+
+@pytest.mark.parametrize("dim", [2, 5, 25, 26, 40])
+@pytest.mark.parametrize("kind", ["exact", "perturbed", "signed_zeros", "stack"])
+def test_spectra_are_lapack_on_the_hermitian_part_bit_for_bit(dim, kind):
+    # eigh and eigenvalues skip the symmetrization only where it is the
+    # identity: the results are those of LAPACK on (h + h^dag)/2, exactly
+    rng = np.random.default_rng(dim)
+    h = random_hermitian(rng, dim)
+    if kind == "perturbed":
+        h = h + 1e-15 * rng.normal(size=(dim, dim))
+    elif kind == "signed_zeros":
+        h = _with_signed_zeros(rng, h)
+    elif kind == "stack":
+        h = np.stack([h, random_hermitian(rng, dim)])
+    deviation = numerics.check_hermitian(h)
+    assert (deviation == 0.0) == (kind in ("exact", "stack"))
+    sym = _hermitian_part(h)
+    w, v = numerics.eigh(h)
+    want_w, want_v = np.linalg.eigh(sym)
+    assert np.array_equal(w, want_w) and np.array_equal(v, want_v)
+    want = want_w if dim <= 25 else np.linalg.eigvalsh(sym)
+    assert np.array_equal(numerics.eigenvalues(h), want)
+
+
+def test_check_hermitian_reports_its_deviation():
+    rng = np.random.default_rng(5)
+    h = random_hermitian(rng, 6)
+    assert numerics.check_hermitian(h) == 0.0
+    skewed = h.copy()
+    skewed[4, 1] += 3e-13
+    assert numerics.check_hermitian(skewed) == pytest.approx(3e-13, rel=1e-3)
+    # equal entry for entry, but (h + h^dag)/2 turns this -0 into +0: not 0.0
+    signed = np.array([[1.0, complex(-0.0, 0.5)], [complex(-0.0, -0.5), 1.0]])
+    assert np.array_equal(signed, signed.conj().T)
+    assert numerics.check_hermitian(signed) == np.finfo(float).smallest_subnormal
+    for bad in (np.inf, np.nan):
+        broken = h.copy()
+        broken[2, 3] = broken[3, 2] = bad
+        with pytest.raises(NotHermitianError), np.errstate(invalid="ignore"):
+            numerics.check_hermitian(broken)
+
+
+@pytest.mark.parametrize("dim", [4, 25, 26, 36])
+def test_a_deviation_of_1e9_still_raises(dim):
+    rng = np.random.default_rng(dim)
+    skewed = random_hermitian(rng, dim)
+    skewed[dim - 1, 0] += 1e-9
+    for solve in (numerics.eigh, numerics.eigenvalues):
+        with pytest.raises(NotHermitianError, match="max deviation 1.000e-09"):
+            solve(skewed)

@@ -274,6 +274,53 @@ def test_pure_input_beyond_2x2_is_ppt_detected_and_never_undetermined(state):
     assert report.classification is not Classification.UNDETERMINED
 
 
+@st.composite
+def _pure_inputs_of_every_class(draw):
+    """2 x N x M states, 2 <= N, M <= 6: Gaussian, with a rank-1 residual
+    (the qubit in a product), with a separable residual (a|0 b1 c1> + b|1 b2
+    c2>, and |000> + |111>), and the three-term example-3 family."""
+    n, m = draw(st.integers(2, 6)), draw(st.integers(2, 6))
+    kind = draw(st.sampled_from(["gaussian", "rank_one", "two_product", "ghz", "example3"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if kind == "gaussian":
+        amps = random_pure(rng, 2 * n * m)
+    elif kind == "rank_one":
+        amps = np.kron(random_pure(rng, 2), random_pure(rng, n * m))
+    elif kind == "two_product":
+        amps = sum(np.kron(np.eye(2)[q], np.kron(random_pure(rng, n), random_pure(rng, m)))
+                   for q in range(2))
+    elif kind == "ghz":
+        amps = np.zeros(2 * n * m)
+        amps[0] = amps[n * m + m + 1] = 1.0
+    else:
+        n, m = min(n, m), max(n, m)
+        return example3_family(n, m, rng.uniform(0.5, 1.5, size=3)), kind
+    return StateVector.create(amps, (2, n, m)), kind
+
+
+@settings(max_examples=60, deadline=None, database=None, derandomize=True)
+@given(_pure_inputs_of_every_class(), st.integers(0, 2**32 - 1))
+def test_negativity_and_classification_are_local_invariants(drawn, seed):
+    # local unitaries on the three parties, and swapping the two qunits, leave
+    # the residual's entanglement alone: the negativity moves by rounding only,
+    # and the classification not at all
+    state, kind = drawn
+    _, n, m = state.dims
+    rng = np.random.default_rng(seed)
+    local = np.kron(random_unitary_oracle(rng, 2),
+                    np.kron(random_unitary_oracle(rng, n), random_unitary_oracle(rng, m)))
+    swapped = state.amplitudes.reshape(2, n, m).transpose(0, 2, 1).reshape(-1)
+    report = classify_qubit_loss(state)
+    want = Classification.FRAGILE if kind in ("two_product", "ghz") else Classification.ROBUST
+    assert report.classification is want
+    for image in (StateVector.create(local @ state.amplitudes, (2, n, m)),
+                  StateVector.create(swapped, (2, m, n))):
+        other = classify_qubit_loss(image)
+        assert other.classification is report.classification
+        assert abs(_measure(other, "negativity").value
+                   - _measure(report, "negativity").value) <= 1e-10
+
+
 def test_converged_filtering_has_no_stop_reason():
     report = classify_qubit_loss(ghz())
     assert report.normal_form_status == "converged" and report.nf_stop is None
@@ -371,14 +418,21 @@ def test_pure_input_pipeline_cost(monkeypatch):
 
 
 def test_pure_residual_concurrence_skips_eigh_on_mixed_residual(monkeypatch):
+    # the purity pre-test, on the N M x N M matrix of a dense state and on
+    # the rank x rank G^dag G of a kept factor
     import qloss.numerics
 
     def forbidden(*args, **kwargs):
-        raise AssertionError("numerics.eigh called on a mixed residual")
+        raise AssertionError("an eigensolve on a mixed residual")
 
     monkeypatch.setattr(qloss.numerics, "eigh", forbidden)
+    monkeypatch.setattr(np.linalg, "eigh", forbidden)
     rho = observation1_family(3, np.sqrt(0.5), np.sqrt(0.5), 0.5)
     assert concurrence(rho, rank_tol=1e-10) is None
+    rng = np.random.default_rng(5)
+    g = 3.0 * random_pure(rng, 2 * 3 * 4).reshape(12, 2)    # proportional, not normalized
+    residual = DensityMatrix._trusted(g @ g.conj().T, (3, 4), factor=g)
+    assert concurrence(residual, rank_tol=1e-10) is None
 
 
 def test_pure_residual_concurrence_is_exact():

@@ -11,6 +11,7 @@ from qloss import (
     StateVector,
     density,
     ghz,
+    normal_form,
     numerics,
     parse_ket,
     partial_trace,
@@ -25,12 +26,15 @@ from qloss.errors import (
     InvalidSubsystemError,
     NotHermitianError,
     NotPSDError,
+    RankDeficientError,
 )
 from qloss.states import (
     _check_tripartite_dims,
     _gamma_residual,
+    _unit_trace,
     check_density,
     normalize_density,
+    transpose_side,
 )
 
 from oracles import (
@@ -428,3 +432,104 @@ def test_density_check_on_a_stack_matches_per_matrix_validation():
         with pytest.raises(error):
             for mat in mats:
                 DensityMatrix((2, 3), mat)
+
+
+def _embedded(rng, g, dims):
+    """A state with Gram factor ``g`` on ``dims``, embedded by local isometries
+    into one more level on each side, with its factor kept and as a dense
+    matrix: reduce_support compresses both back to ``dims``."""
+    n, m = dims
+    iso = np.kron(random_unitary_oracle(rng, n + 1)[:, :n], random_unitary_oracle(rng, m + 1)[:, :m])
+    big = iso @ g
+    return (DensityMatrix._trusted(big @ big.conj().T, (n + 1, m + 1), factor=big),
+            DensityMatrix.create(big @ big.conj().T, (n + 1, m + 1)))
+
+
+@pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 4), (5, 5), (6, 4), (12, 12)])
+def test_built_states_are_their_own_hermitian_part(dims):
+    # what the library builds equals its conjugate transpose entry for entry,
+    # and so do both of its partial transposes: the spectra skip the
+    # symmetrization, which would hand back the same bits
+    n, m = dims
+    rng = np.random.default_rng(n * m)
+    residual = _gamma_residual(StateVector.create(random_pure(rng, 2 * n * m), (2, n, m)))
+    built = [residual, DensityMatrix.create(random_density_oracle(rng, n * m), dims)]
+    built += [reduce_support(rho) for rho in _embedded(rng, residual._factor, dims)]
+    for rho in built:
+        assert rho.dims == dims
+        for mat in (rho.matrix, transpose_side(rho.matrix, dims, 0),
+                    transpose_side(rho.matrix, dims, 1)):
+            assert np.array_equal(mat, numerics.dagger(mat))
+            assert numerics.check_hermitian(mat) == 0.0
+
+
+@pytest.mark.parametrize("shape", [(3, 3), (4, 6, 6), (1, 25, 25), (2, 1, 30, 30)])
+def test_unit_trace_is_the_plain_arithmetic(shape):
+    # one new array and the same operations: bit for bit (mat + mat^dag) / 2
+    # over the trace, computed out of place, on zeros of either sign too
+    rng = np.random.default_rng(len(shape))
+    mat = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    parts = mat.view(np.float64)
+    parts[rng.random(parts.shape) < 0.3] = 0.0
+    parts[(parts == 0.0) & (rng.random(parts.shape) < 0.5)] = -0.0
+    sym = (mat + numerics.dagger(mat)) / 2.0
+    want = sym / sym.trace(axis1=-2, axis2=-1).real[..., None, None]
+    assert _unit_trace(mat).tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("dims", [(3, 3), (3, 4)])
+def test_reduce_support_and_the_normal_form_diagonalise_the_marginals_once(dims, monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the marginals are diagonalised again")
+
+    rng = np.random.default_rng(3)
+    n, m = dims
+    rho = _gamma_residual(StateVector.create(random_pure(rng, 2 * n * m), (2, n, m)))
+    solves = []
+    eigh = numerics.eigh
+
+    def counting(h, *args, **kwargs):
+        solves.append(np.shape(h))
+        return eigh(h, *args, **kwargs)
+
+    monkeypatch.setattr(numerics, "eigh", counting)
+    monkeypatch.setattr(np.linalg, "eigvalsh", forbidden)
+    assert reduce_support(rho) is rho
+    normal_form(rho)
+    # one stacked call on N x N, one per side on N x M
+    assert solves == ([(2, n, n)] if n == m else [(n, n), (m, m)])
+
+
+def test_the_marginals_of_a_reduced_state_are_its_own():
+    # reduce_support diagonalises the marginals of what it is given; the
+    # state it compresses to has its own, and a rank-deficient one is still
+    # refused by the normal form
+    rng = np.random.default_rng(9)
+    g = rng.normal(size=(6, 2)) + 1j * rng.normal(size=(6, 2))
+    for rho in _embedded(rng, g / np.linalg.norm(g), (2, 3)):
+        reduced = reduce_support(rho)
+        assert reduced.dims == (2, 3) and reduced._marginals is None
+        tensor = reduced.matrix.reshape(2, 3, 2, 3)
+        for (marginal, w, _), want in zip(reduced._local_spectra(),
+                                          (np.einsum("jmkm->jk", tensor),
+                                           np.einsum("jmjn->mn", tensor))):
+            assert np.array_equal(marginal, want) and np.all(w > 1e-3)
+    product = density(StateVector.create([1, 0, 0, 0], (2, 2)))
+    reduce_support(product)
+    with pytest.raises(RankDeficientError):
+        normal_form(product)
+
+
+def test_a_kept_gram_factor_is_diagonalised_unchecked(monkeypatch):
+    # G^dag G is Hermitian by construction; it is symmetrized, as eigh did,
+    # and diagonalised with no check, to the same values
+    def forbidden(*args, **kwargs):
+        raise AssertionError("G^dag G is checked")
+
+    rng = np.random.default_rng(6)
+    rho = _gamma_residual(StateVector.create(random_pure(rng, 30), (2, 3, 5)))
+    g = rho._factor
+    gram = g.conj().T @ g
+    w, v = np.linalg.eigh((gram + gram.conj().T) / 2.0)
+    monkeypatch.setattr(numerics, "check_hermitian", forbidden)
+    assert np.array_equal(rho._gram_factor(), g @ v[:, numerics.support(w)])
