@@ -15,7 +15,7 @@ entangled iff the original state is.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -99,9 +99,19 @@ class CorrelationSVD:
 
 class _PencilForm(DensityMatrix):
     """A normal form that :func:`normal_form` builds from the pencil of a
-    rank-2 state, kept with its factor. On N x N it is sum_ij |ii><jj|
-    <phi_j|phi_i> / N (factor row ii is phi_i / sqrt(N), other rows zero);
-    on N != M it is the balanced state of :func:`_balanced_form`."""
+    rank-2 state, kept as its factor F; its matrix F F^dag is built when
+    first read. On N x N it is sum_ij |ii><jj| <phi_j|phi_i> / N (factor row
+    ii is phi_i / sqrt(N), other rows zero); on N != M it is the balanced
+    state of :func:`_balanced_form`."""
+
+    def __init__(self, dims: tuple[int, int], factor: np.ndarray):
+        vars(self).update(dims=dims, _factor=factor)
+
+    @cached_property
+    def matrix(self) -> np.ndarray:
+        mat = self._factor @ self._factor.conj().T
+        mat.setflags(write=False)
+        return mat
 
 
 def bloch_decompose(rho: DensityMatrix) -> BlochForm:
@@ -293,7 +303,7 @@ def _balanced_form(n: int, m: int) -> tuple[_PencilForm, CorrelationSVD]:
     g[rows, cols + 1, 1] = np.sqrt((level + 1) / norm)
     factor = (g if n < m else g.transpose(1, 0, 2)).reshape(n * m, 2)
     factor.setflags(write=False)
-    sigma = _PencilForm._wrap(factor @ factor.conj().T, (n, m), factor)
+    sigma = _PencilForm((n, m), factor)
     tau = correlation_svd(bloch_decompose(sigma)).tau
     return sigma, CorrelationSVD(dims=(n, m), tau=tau, notes=PENCIL_NOTE)
 
@@ -331,7 +341,7 @@ def _normal_form_steps(
             return _balanced_form(n, m)[0], 0
         factor = np.zeros((n * n, 2), dtype=complex)
         factor[:: n + 1] = pencil.phi / np.sqrt(n)
-        return _PencilForm._wrap(factor @ factor.conj().T, (n, n), factor), 0
+        return _PencilForm((n, n), factor), 0
     history = [deviation]                # deviation after each completed step
     omega = 1.0
     stalled = 0

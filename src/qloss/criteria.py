@@ -106,14 +106,18 @@ def ppt_negativity(rho: DensityMatrix) -> tuple[CriterionResult, MeasureValue]:
     Negativity is computed both as |sum of negative PT eigenvalues| and as
     (trace_norm(PT) - 1)/2; the two must agree to 1e-10. The PT spectrum
     comes from ``eigh`` up to N*M = 25 and from ``eigvalsh``, with no
-    eigenvectors, above (see :func:`stacked_negativity`). A PPT verdict
+    eigenvectors, above (see :func:`stacked_negativity`); above 25 a state
+    that :mod:`qloss.states` built and found to be its own (h + h†)/2 bit
+    for bit is not checked for Hermiticity again. A PPT verdict
     certifies separability only where PPT is sufficient: N*M <= 6, or a
     trivial local side (min(N, M) = 1, where every state is separable).
     """
     if len(rho.dims) != 2:
         raise DimensionMismatchError(f"PPT test needs bipartite dims, got {rho.dims}")
     n, m = rho.dims
-    negativity = float(stacked_negativity(rho.matrix[None], rho.dims)[0])
+    pt = transpose_side(rho.matrix[None], rho.dims, 0)
+    w = numerics._exact_eigenvalues(pt) if rho._exact else numerics.eigenvalues(pt)
+    negativity = float(_negativity(w)[0])
     if negativity > DEADBAND:
         verdict = Verdict.DETECTED
         notes = "negative partial-transpose eigenvalue"
@@ -156,12 +160,18 @@ def stacked_negativity(mats: np.ndarray, dims: tuple[int, int]) -> np.ndarray:
     up to nm = 25, from ``eigvalsh`` with no eigenvectors above.
 
     Each member is checked for Hermiticity once, on its partial transpose:
-    that only permutes entries, so its deviations are the member's. The
-    partial transpose of a member that is its own (h + h†)/2, as the states
-    :mod:`qloss.states` builds are, is one too, and it goes to LAPACK with no
-    subtraction and no symmetrizing pass.
+    that only permutes entries, so its deviations are the member's. A
+    partial transpose that is its own (h + h†)/2 bit for bit passes with no
+    subtraction and goes to LAPACK with no symmetrizing pass. Where the
+    states module decided that of a state it built, :func:`ppt_negativity`
+    does not check it again above nm = 25.
     """
-    w = numerics.eigenvalues(transpose_side(mats, dims, 0))
+    return _negativity(numerics.eigenvalues(transpose_side(mats, dims, 0)))
+
+
+def _negativity(w: np.ndarray) -> np.ndarray:
+    """:func:`stacked_negativity` from the ascending partial-transpose
+    spectra ``w``, one per row."""
     neg_sum = -np.minimum(w, 0.0).sum(axis=-1)
     from_norm = (np.abs(w).sum(axis=-1) - 1.0) / 2.0
     gap = np.abs(neg_sum - from_norm)

@@ -37,6 +37,7 @@ from oracles import (
     bloch_t_oracle,
     ky_fan_oracle,
     negativity_oracle,
+    ptrace_brute,
     random_density_oracle,
     random_unitary_oracle,
     realignment_rate,
@@ -727,6 +728,48 @@ def test_ket_and_its_dense_residual_take_the_same_route(state):
             == (dense.normal_form_status, dense.nf_iterations, dense.nf_stop))
     assert ket.classification is dense.classification
     assert _ky_fan(ket).statistic == pytest.approx(_ky_fan(dense).statistic, rel=1e-12)
+
+
+@st.composite
+def _normal_form_routes(draw):
+    """``(route, state)`` for each route to a normal form: a Gaussian rank-2
+    residual on N x N (``pencil``), one on a shape whose normal form is the
+    balanced state (``balanced``), and a mixed state of full rank on up to
+    3 x 4 (``filtering``)."""
+    route = draw(st.sampled_from(["pencil", "balanced", "filtering"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if route == "filtering":
+        dims = draw(st.sampled_from([(2, 2), (2, 3), (3, 3), (3, 4)]))
+        return route, DensityMatrix.create(random_density_oracle(rng, dims[0] * dims[1]), dims)
+    if route == "pencil":
+        n = m = draw(st.integers(2, 6))
+    else:
+        n, m = draw(st.sampled_from(_kronecker_shapes()))
+    amps = rng.normal(size=2 * n * m) + 1j * rng.normal(size=2 * n * m)
+    return route, _gamma_residual(StateVector.create(amps, (2, n, m)))
+
+
+@settings(max_examples=60, deadline=None, database=None, derandomize=True)
+@given(_normal_form_routes())
+def test_a_converged_normal_form_has_maximally_mixed_marginals(case):
+    # each route's normal form has marginals I/d to nf_tol, by the
+    # brute-force partial trace; an N x N pencil form builds its matrix F F^dag
+    # only when it is read (the balanced state's was read once, when cached)
+    route, rho = case
+    filtered, iterations = _normal_form_steps(rho)
+    assert classify_residual(rho).normal_form_status == "converged"
+    assert isinstance(filtered, bloch._PencilForm) == (route != "filtering")
+    assert (iterations > 0) == (route == "filtering")
+    if route == "pencil":
+        assert "matrix" not in vars(filtered)
+    if route != "filtering":
+        factor = filtered._factor
+        assert np.array_equal(filtered.matrix, factor @ factor.conj().T)
+    assert filtered.dims == rho.dims
+    n, m = rho.dims
+    for side, d in ((0, n), (1, m)):
+        marginal = ptrace_brute(filtered.matrix, (n, m), [side])
+        assert np.abs(marginal - np.eye(d) / d).max() <= NF_TOL
 
 
 def _rank3_residual():

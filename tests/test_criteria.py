@@ -33,7 +33,12 @@ from qloss import (
 from qloss import numerics
 from qloss.criteria import stacked_negativity, stacked_wootters
 from qloss.errors import NotHermitianError, NotPSDError, QlossError
-from qloss.states import _gamma_residual, normalize_density, transpose_side
+from qloss.states import (
+    _gamma_residual,
+    normalize_density,
+    parse_state_file,
+    transpose_side,
+)
 
 from oracles import (
     negativity_oracle,
@@ -459,6 +464,59 @@ def test_stacked_negativity_rejects_a_deviation_of_1e9(dims):
     stack[1, dim - 1, 0] += 1e-9
     with pytest.raises(NotHermitianError, match="max deviation 1.000e-09"):
         stacked_negativity(stack, dims)
+
+
+def _rho_file(mat, dims):
+    """A ``rho:`` state file holding ``mat``, parsed as the CLI parses it."""
+    rows = (" ".join(f"{z.real}{z.imag:+}i" for z in row) for row in mat)
+    text = f"dims: {dims[0]} {dims[1]}\nrho:\n" + "\n".join(rows) + "\n"
+    return parse_state_file(text).state
+
+
+@pytest.mark.parametrize("dims", [(5, 5), (6, 6), (12, 12)])
+def test_negativity_of_built_states_needs_no_hermitian_check_above_25(dims, monkeypatch):
+    # a 2 x N x M ket's residual, with its Gamma blocks and as a partial
+    # trace, and a dense rho: file: above PT dimension 25 the verdict of
+    # _unit_trace stands in for the check, at or below it eigh checks
+    n, m = dims
+    rng = np.random.default_rng(n * m + 7)
+    state = StateVector.create(random_pure(rng, 2 * n * m), (2, n, m))
+    built = [_gamma_residual(state), _residual(state),
+             _rho_file(random_density_oracle(rng, n * m), dims)]
+    checked = []
+    check_hermitian = numerics.check_hermitian
+
+    def counting(mat, *args, **kwargs):
+        checked.append(mat.shape)
+        return check_hermitian(mat, *args, **kwargs)
+
+    monkeypatch.setattr(numerics, "check_hermitian", counting)
+    for rho in built:
+        checked.clear()
+        _, measure = ppt_negativity(rho)
+        assert measure.value == pytest.approx(negativity_oracle(rho.matrix, n, m), abs=1e-10)
+        assert measure.value == _reference_negativity(rho.matrix, dims)
+        assert checked == ([] if n * m > 25 else [(1, n * m, n * m)])
+
+
+@pytest.mark.parametrize("dims", [(5, 5), (6, 6)])
+def test_a_matrix_not_built_by_unit_trace_is_still_checked_and_symmetrized(dims):
+    # DensityMatrix(...) input keeps its bits: its partial transpose is checked
+    # and symmetrized before LAPACK, and a deviation above 1e-12 still raises
+    n, m = dims
+    dim = n * m
+    rng = np.random.default_rng(dim)
+    skewed = random_density_oracle(rng, dim)
+    skewed[dim - 1, 0] += 3e-13
+    rho = DensityMatrix(dims, skewed.copy())
+    assert rho._exact is None and numerics.check_hermitian(rho.matrix) > 0.0
+    _, measure = ppt_negativity(rho)
+    assert measure.value == _reference_negativity(rho.matrix, dims)
+    skewed[dim - 1, 0] += 1e-9
+    with pytest.raises(NotHermitianError, match="max deviation 1.000e-09"):
+        DensityMatrix(dims, skewed.copy())
+    with pytest.raises(NotHermitianError, match="max deviation 1.000e-09"):
+        ppt_negativity(DensityMatrix._wrap(skewed, dims))
 
 
 def _reference_concurrence(rho, rank_tol=numerics.RANK_TOL):

@@ -457,24 +457,71 @@ def test_built_states_are_their_own_hermitian_part(dims):
     built += [reduce_support(rho) for rho in _embedded(rng, residual._factor, dims)]
     for rho in built:
         assert rho.dims == dims
+        # the verdict _unit_trace decided, above the dimension where it decides one
+        assert rho._exact is (n * m > 25)
         for mat in (rho.matrix, transpose_side(rho.matrix, dims, 0),
                     transpose_side(rho.matrix, dims, 1)):
             assert np.array_equal(mat, numerics.dagger(mat))
             assert numerics.check_hermitian(mat) == 0.0
 
 
-@pytest.mark.parametrize("shape", [(3, 3), (4, 6, 6), (1, 25, 25), (2, 1, 30, 30)])
-def test_unit_trace_is_the_plain_arithmetic(shape):
-    # one new array and the same operations: bit for bit (mat + mat^dag) / 2
-    # over the trace, computed out of place, on zeros of either sign too
-    rng = np.random.default_rng(len(shape))
+def _scaling_input(rng, shape, kind):
+    """A matrix, or stack, for :func:`_unit_trace`: Gaussian (``dense``), with
+    30% of its parts zero and half of those -0 (``signed_zeros``), with every
+    part subnormal or +-2^-1074 (``subnormal``), or G G^dag of a sparse ket's
+    Gamma blocks (``sparse_ket``), whose product leaves zeros of either sign."""
+    d = shape[-1]
+    if kind == "sparse_ket":
+        g = rng.normal(size=shape[:-1] + (2,)) + 1j * rng.normal(size=shape[:-1] + (2,))
+        g.view(np.float64)[rng.random(g.view(np.float64).shape) < 0.8] = 0.0
+        g[..., 0, 0] = 1.0                      # a nonzero trace
+        return g @ numerics.dagger(g)
     mat = rng.normal(size=shape) + 1j * rng.normal(size=shape)
     parts = mat.view(np.float64)
-    parts[rng.random(parts.shape) < 0.3] = 0.0
-    parts[(parts == 0.0) & (rng.random(parts.shape) < 0.5)] = -0.0
-    sym = (mat + numerics.dagger(mat)) / 2.0
-    want = sym / sym.trace(axis1=-2, axis2=-1).real[..., None, None]
-    assert _unit_trace(mat).tobytes() == want.tobytes()
+    if kind == "signed_zeros":
+        parts[rng.random(parts.shape) < 0.3] = 0.0
+        parts[(parts == 0.0) & (rng.random(parts.shape) < 0.5)] = -0.0
+    elif kind == "subnormal":
+        parts *= 1e-310
+        tiny = rng.random(parts.shape) < 0.1
+        parts[tiny] = np.copysign(np.finfo(float).smallest_subnormal, parts[tiny])
+        mat[..., range(d), range(d)] += 1e-300    # the trace stays above 1e-300
+    return mat
+
+
+@pytest.mark.parametrize("shape", [(3, 3), (4, 6, 6), (1, 25, 25), (2, 1, 30, 30), (26, 26),
+                                   (36, 36)])
+def test_unit_trace_is_the_plain_arithmetic(shape):
+    # bit for bit (mat + mat^dag) / 2 over the trace by numpy's complex
+    # division, out of place: above dimension 25 the two divisions are
+    # products of the float view, and the verdict decided there is
+    # check_hermitian's, exactly
+    for kind in ("dense", "signed_zeros", "subnormal", "sparse_ket"):
+        rng = np.random.default_rng([len(shape), shape[-1]])
+        mat = _scaling_input(rng, shape, kind)
+        sym = (mat + numerics.dagger(mat)) / 2.0
+        want = sym / sym.trace(axis1=-2, axis2=-1).real[..., None, None]
+        got, exact = _unit_trace(mat)
+        assert got.tobytes() == want.tobytes()
+        if shape[-1] <= 25:
+            assert exact is False
+        else:
+            assert exact == (numerics.check_hermitian(got) == 0.0)
+            assert exact == (kind != "signed_zeros")
+
+
+def test_unit_trace_redoes_the_divisions_on_a_signed_zero():
+    # a -0 real part on the diagonal survives the products, so the divisions
+    # are redone; numpy's division makes it +0, so the result is exact again
+    rng = np.random.default_rng(30)
+    mat = rng.normal(size=(30, 30)) + 1j * rng.normal(size=(30, 30))
+    mat[3, 3] = complex(-0.0, 0.7)
+    total = mat + numerics.dagger(mat)
+    assert np.signbit(total[3, 3].real)
+    want = total / 2.0 / (total / 2.0).trace().real
+    got, exact = _unit_trace(mat)
+    assert got.tobytes() == want.tobytes() and not np.signbit(got[3, 3].real)
+    assert exact and numerics.check_hermitian(got) == 0.0
 
 
 @pytest.mark.parametrize("dims", [(3, 3), (3, 4)])
