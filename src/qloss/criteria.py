@@ -106,9 +106,9 @@ def ppt_negativity(rho: DensityMatrix) -> tuple[CriterionResult, MeasureValue]:
     Negativity is computed both as |sum of negative PT eigenvalues| and as
     (trace_norm(PT) - 1)/2; the two must agree to 1e-10. The PT spectrum
     comes from ``eigh`` up to N*M = 25 and from ``eigvalsh``, with no
-    eigenvectors, above (see :func:`stacked_negativity`); above 25 a state
-    that :mod:`qloss.states` built and found to be its own (h + h†)/2 bit
-    for bit is not checked for Hermiticity again. A PPT verdict
+    eigenvectors, above (see :func:`stacked_negativity`). A state that
+    :mod:`qloss.states` built equals its conjugate transpose entry for entry,
+    so above 25 its partial transpose is not checked again. A PPT verdict
     certifies separability only where PPT is sufficient: N*M <= 6, or a
     trivial local side (min(N, M) = 1, where every state is separable).
     """
@@ -116,7 +116,7 @@ def ppt_negativity(rho: DensityMatrix) -> tuple[CriterionResult, MeasureValue]:
         raise DimensionMismatchError(f"PPT test needs bipartite dims, got {rho.dims}")
     n, m = rho.dims
     pt = transpose_side(rho.matrix[None], rho.dims, 0)
-    w = numerics._exact_eigenvalues(pt) if rho._exact else numerics.eigenvalues(pt)
+    w = numerics._built_eigenvalues(pt) if rho._built else numerics.eigenvalues(pt)
     negativity = float(_negativity(w)[0])
     if negativity > DEADBAND:
         verdict = Verdict.DETECTED
@@ -162,9 +162,8 @@ def stacked_negativity(mats: np.ndarray, dims: tuple[int, int]) -> np.ndarray:
     Each member is checked for Hermiticity once, on its partial transpose:
     that only permutes entries, so its deviations are the member's. A
     partial transpose that is its own (h + h†)/2 bit for bit passes with no
-    subtraction and goes to LAPACK with no symmetrizing pass. Where the
-    states module decided that of a state it built, :func:`ppt_negativity`
-    does not check it again above nm = 25.
+    subtraction and goes to LAPACK with no symmetrizing pass; any other is
+    symmetrized first, at every nm.
     """
     return _negativity(numerics.eigenvalues(transpose_side(mats, dims, 0)))
 

@@ -23,12 +23,12 @@ Conventions, fixed once to avoid cross-module sign/order bugs:
 * spectra are those of (h + h†)/2, because downstream entanglement
   criteria are eigenvalue-sign-sensitive. A matrix that already is its own
   (h + h†)/2 bit for bit (see :func:`check_hermitian`) goes to LAPACK as it
-  is, with no symmetrizing pass. The states :mod:`qloss.states` builds are
-  such matrices, barring a -0 in their input, and so are their partial
-  transposes, which only permute entries. Above dimension 25 the states
-  module decides this once, where it builds a state, by :func:`_plain_parts`;
-  the partial transpose of such a state then goes to
-  :func:`_exact_eigenvalues`, which checks nothing.
+  is, with no symmetrizing pass. The states :mod:`qloss.states` builds
+  equal their conjugate transposes entry for entry, and so do their partial
+  transposes, which only permute entries: such a matrix is its own
+  (h + h†)/2 in value, if not always in the signs of its zeros. Their
+  spectra come from :func:`_built_eigenvalues`, which checks as
+  :func:`eigenvalues` does up to dimension 25 and checks nothing above.
 """
 
 from __future__ import annotations
@@ -51,9 +51,6 @@ RANK_TOL = 1e-10
 # eigenvectors. Up to it the values stay bit-identical to eigh's, which keeps
 # every two-qubit negativity and every seeded output (none above 25) unchanged.
 _EIGENVECTORS_UP_TO = 25
-
-# the bits of -0.0 read as an int64: the least int64
-_SIGNED_ZERO = np.iinfo(np.int64).min
 
 
 def dagger(m: np.ndarray) -> np.ndarray:
@@ -93,29 +90,16 @@ def check_hermitian(m: np.ndarray, atol: float = HERMITIAN_ATOL, what: str = "ma
     if m.dtype == np.complex128 and m.flags.c_contiguous:
         h = np.conjugate(m.swapaxes(-1, -2), order="C")
         h += 0.0                            # -0 becomes +0, so no -0 in m can match
-        if (m.view(np.int64) == h.view(np.int64)).all() and _no_overflow(m.view(np.float64)):
-            return 0.0
+        if (m.view(np.int64) == h.view(np.int64)).all():
+            parts = m.view(np.float64)
+            if parts.max(initial=0.0) < 2.0**1023 and parts.min(initial=0.0) > -(2.0**1023):
+                return 0.0
     else:
         h = dagger(m)
     dev = float(np.abs(m - h).max())
     if not dev <= atol:
         raise NotHermitianError(f"{what} is not Hermitian (max deviation {dev:.3e})")
     return dev or float(np.finfo(float).smallest_subnormal)
-
-
-def _no_overflow(parts: np.ndarray) -> bool:
-    """True when no float in ``parts`` is NaN or reaches 2^1023 in modulus,
-    where m + m† could overflow."""
-    return parts.max(initial=0.0) < 2.0**1023 and parts.min(initial=0.0) > -(2.0**1023)
-
-
-def _plain_parts(m: np.ndarray) -> bool:
-    """True when no part of the C-contiguous complex128 array ``m`` is -0,
-    NaN or at least 2^1023 in modulus. On a matrix that equals its conjugate
-    transpose entry for entry, :func:`check_hermitian` returns 0.0 exactly
-    then."""
-    parts = m.view(np.float64)
-    return bool(parts.view(np.int64).min(initial=0) != _SIGNED_ZERO and _no_overflow(parts))
 
 
 def _hermitian_part(h: np.ndarray, atol: float = HERMITIAN_ATOL) -> np.ndarray:
@@ -148,11 +132,14 @@ def eigenvalues(h: np.ndarray) -> np.ndarray:
     return np.linalg.eigvalsh(_hermitian_part(h))
 
 
-def _exact_eigenvalues(h: np.ndarray) -> np.ndarray:
-    """:func:`eigenvalues` of a complex matrix, or stack, above dimension 25
-    that is its own (h + h†)/2 bit for bit, so that :func:`check_hermitian`
-    would return 0.0: it goes to ``eigvalsh`` unchecked, with no copy."""
-    return np.linalg.eigvalsh(h)
+def _built_eigenvalues(h: np.ndarray) -> np.ndarray:
+    """:func:`eigenvalues` of a matrix, or stack, that equals its conjugate
+    transpose entry for entry by construction, as the partial transpose of a
+    built state does: checked as :func:`eigenvalues` checks up to dimension
+    25, and handed to ``eigvalsh`` unchecked, with no copy, above."""
+    if h.shape[-1] > _EIGENVECTORS_UP_TO:
+        return np.linalg.eigvalsh(h)
+    return eigenvalues(h)
 
 
 def singular_values(m: np.ndarray) -> np.ndarray:

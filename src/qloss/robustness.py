@@ -339,7 +339,7 @@ def _point_example1(params: dict, **kw) -> RobustnessReport:
 
 def _point_example3(params: dict, **kw) -> RobustnessReport:
     state = example3_family(
-        int(params.get("n", 3)), int(params.get("m", 3)),
+        int(params.get("n", 2)), int(params.get("m", 3)),
         (params.get("beta1", 0.0), params.get("beta2", 0.0), params.get("beta3", 0.0)))
     return classify_qubit_loss(state, **kw)
 

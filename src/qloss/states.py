@@ -75,9 +75,7 @@ class DensityMatrix:
     matrix: np.ndarray
 
     _factor = None          # Gram factor F, matrix proportional to F F^dag; see _trusted
-    # None unless _unit_trace built the matrix (create, _trusted); then its
-    # verdict: True when the matrix is its own (h + h^dag)/2 bit for bit
-    _exact = None
+    _built = False          # set by create and _trusted: _unit_trace built the matrix
     _marginals = None       # cache of _local_spectra: the matrix never changes
 
     def __post_init__(self):
@@ -86,7 +84,7 @@ class DensityMatrix:
         d = int(np.prod(dims))
         if mat.shape != (d, d):
             raise DimensionMismatchError(f"matrix shape {mat.shape} does not match dims {dims}")
-        (check_density if self._exact is None else _check_unit_psd)(mat)
+        (_check_unit_psd if self._built else check_density)(mat)
         mat.setflags(write=False)
         object.__setattr__(self, "dims", dims)
         object.__setattr__(self, "matrix", mat)
@@ -96,19 +94,17 @@ class DensityMatrix:
         """Symmetrize, renormalize the trace, validate, and wrap."""
         mat = np.asarray(matrix, dtype=complex)
         numerics.check_hermitian(mat)
-        mat, exact = _unit_trace(mat)
         rho = object.__new__(cls)
-        vars(rho)["_exact"] = exact
-        rho.__init__(tuple(int(d) for d in dims), mat)
+        vars(rho)["_built"] = True
+        rho.__init__(tuple(int(d) for d in dims), _unit_trace(mat))
         return rho
 
     @classmethod
     def _trusted(cls, matrix, dims, factor: np.ndarray | None = None) -> "DensityMatrix":
         """Symmetrize and renormalize like :meth:`create`, but check nothing;
         ``factor``, if given, is a Gram factor of ``matrix``."""
-        mat, exact = _unit_trace(np.asarray(matrix, dtype=complex))
-        rho = cls._wrap(mat, dims, factor)
-        vars(rho)["_exact"] = exact
+        rho = cls._wrap(_unit_trace(np.asarray(matrix, dtype=complex)), dims, factor)
+        vars(rho)["_built"] = True
         return rho
 
     @classmethod
@@ -157,44 +153,36 @@ def normalize_density(matrix) -> np.ndarray:
     """
     mat = np.asarray(matrix, dtype=complex)
     numerics.check_hermitian(mat)
-    return _unit_trace(mat)[0]
+    return _unit_trace(mat)
 
 
-def _unit_trace(mat: np.ndarray) -> tuple[np.ndarray, bool]:
-    """(mat + mat^dag)/2 over its real trace, in one new array, and whether
-    the result is its own (h + h^dag)/2 bit for bit, as
-    :func:`numerics.check_hermitian` would find. The result equals its
-    conjugate transpose entry for entry: the sum is commutative, and dividing
-    by 2 and by a real trace treats an entry and its mirror alike.
+def _unit_trace(mat: np.ndarray) -> np.ndarray:
+    """(mat + mat^dag)/2 over its real trace, in one new array. The result
+    equals its conjugate transpose entry for entry: the sum is commutative,
+    and dividing by 2 and by a real trace treats an entry and its mirror
+    alike. So it is its own (h + h^dag)/2 in value, whatever signs its zeros
+    carry, and above dimension 25 the partial transpose of a state built
+    here goes to LAPACK unchecked (:func:`numerics._built_eigenvalues`).
 
-    The verdict is decided above dimension 25 only, where a partial transpose
-    skips its own check; at or below, it is False. There the two divisions
-    are products of the float view: numpy divides x by a real c > 0 as
-    (re x + im x * 0, im x - re x * 0) * (1 / c), which is the product on
-    parts that are neither -0 nor non-finite. A positive scale keeps such a
-    part, so one scan of the result vouches for both products and decides
-    the verdict; if it finds one, the divisions are redone as numpy's.
+    Up to dimension 25 both divisions are numpy's complex divisions. Above,
+    they are products of the float view, which take a fraction of the time:
+    numpy divides x by a real c as (re x + im x * 0, im x - re x * 0) * (1 / c),
+    which on finite parts is the product but for the signs of some zeros.
     """
     # conj(m_ji) + m_ij is m_ij + conj(m_ji), bit for bit
     out = np.conjugate(mat.swapaxes(-1, -2), order="C")
     out += mat
-    large = out.shape[-1] > numerics._EIGENVECTORS_UP_TO
-    if large:
+    if out.shape[-1] > numerics._EIGENVECTORS_UP_TO:
         parts = out.view(np.float64)
-        parts *= 0.5
-        tr = out.trace(axis1=-2, axis2=-1).real
-        if min(tr.flat) > 1e-300:
-            parts *= (1.0 / tr)[..., None, None]
-            if numerics._plain_parts(out):
-                return out, True
-        out = np.conjugate(mat.swapaxes(-1, -2), order="C")
-        out += mat
-    out /= 2.0
+        scale = lambda c: np.multiply(parts, 1.0 / c, out=parts)
+    else:
+        scale = lambda c: np.divide(out, c, out=out)
+    scale(2.0)
     tr = out.trace(axis1=-2, axis2=-1).real
     if min(np.abs(tr).flat) <= 1e-300:
         raise InvalidParamsError("matrix has zero trace, cannot normalize")
-    out /= tr[..., None, None]
-    return out, large and numerics._plain_parts(out)
+    scale(tr[..., None, None])
+    return out
 
 
 def check_density(mat: np.ndarray) -> None:
@@ -211,7 +199,7 @@ def check_density(mat: np.ndarray) -> None:
 def _check_unit_psd(mat: np.ndarray) -> None:
     tr = mat.trace(axis1=-2, axis2=-1).real
     off = np.abs(tr - 1.0)
-    if max(off.flat) > NORM_ATOL:
+    if not (off <= NORM_ATOL).all():            # a NaN trace fails too
         raise InvalidParamsError(f"density matrix trace is {float(tr.flat[off.argmax()])!r}, not 1")
     numerics.check_psd(np.linalg.eigvalsh((mat + numerics.dagger(mat)) / 2.0),
                        what="density matrix")

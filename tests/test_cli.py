@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from qloss import cli
+from qloss import cli, sweep
 
 EX4_FILE = "dims: 2 3 3\nket: |010> + |001> + |112> + |121>\n"
 GHZ_FILE = "dims: 2 2 2\nket: 1/sqrt(2)|000> + 1/sqrt(2)|111>\n"
@@ -125,6 +125,18 @@ def test_analyze_non_psd_rho_is_input_error(tmp_path, capsys):
     code, _, err = run_cli(["analyze", str(path)], capsys)
     assert code == 65
     assert "NotPSD" in err
+
+
+@pytest.mark.parametrize("entry", ["1e308+0i", "nan+0i"])
+def test_analyze_non_finite_rho_is_input_error(entry, tmp_path, capsys):
+    # 1e308 overflows when the matrix is symmetrized, so its trace is NaN
+    lines = ["dims: 2 2", "rho:",
+             f"{entry} 0 0 0", "0 1 0 0", "0 0 0 0", "0 0 0 0"]
+    path = tmp_path / "nonfinite.txt"
+    path.write_text("\n".join(lines) + "\n")
+    code, out, err = run_cli(["analyze", "--quiet", str(path)], capsys)
+    assert (code, out) == (65, "")
+    assert "internal" not in err
 
 
 def test_analyze_usage_errors(tmp_path, capsys):
@@ -380,6 +392,22 @@ def test_sweep_example3_defaults_to_two_by_three(capsys):
     rows = [dict(zip(header, line.split(","))) for line in lines[1:]]
     assert len(rows) == 2
     assert all((r["n"], r["m"], r["error"]) == ("2", "3", "") for r in rows)
+
+
+def test_sweep_example3_library_defaults_match_the_cli(capsys):
+    # neither names n or m: both sweep the 2 x 3 family
+    grid = {"beta1": [0.0, 1.0], "beta2": [1.0], "beta3": [0.5, 1.0]}
+    code, out, _ = run_cli(["sweep", "example3", "--beta1", "0,1", "--beta2", "1",
+                            "--beta3", "0.5,1"], capsys)
+    assert code == 0
+    lines = out.splitlines()
+    header = lines[0].split(",")
+    fixed = [header.index("n"), header.index("m")]
+    cli_rows = [[cell for i, cell in enumerate(line.split(",")) if i not in fixed]
+                for line in lines[1:]]
+    points = sweep("example3", grid)
+    assert cli_rows == [cli._sweep_row(point, list(grid)) for point in points]
+    assert all(point.report.residual_dims == (2, 3) for point in points)
 
 
 @pytest.mark.parametrize("flag, value", [

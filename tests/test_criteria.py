@@ -476,7 +476,7 @@ def _rho_file(mat, dims):
 @pytest.mark.parametrize("dims", [(5, 5), (6, 6), (12, 12)])
 def test_negativity_of_built_states_needs_no_hermitian_check_above_25(dims, monkeypatch):
     # a 2 x N x M ket's residual, with its Gamma blocks and as a partial
-    # trace, and a dense rho: file: above PT dimension 25 the verdict of
+    # trace, and a dense rho: file: above PT dimension 25 having been built by
     # _unit_trace stands in for the check, at or below it eigh checks
     n, m = dims
     rng = np.random.default_rng(n * m + 7)
@@ -499,6 +499,33 @@ def test_negativity_of_built_states_needs_no_hermitian_check_above_25(dims, monk
         assert checked == ([] if n * m > 25 else [(1, n * m, n * m)])
 
 
+@pytest.mark.parametrize("dims", [(6, 6), (4, 7)])
+def test_built_state_with_a_signed_zero_needs_no_hermitian_check_above_25(dims, monkeypatch):
+    # a complex-typed real vector with mixed signs: v_i conj(v_j) has a -0
+    # imaginary part where v_i > 0 > v_j, and so has the symmetrized sum.
+    # create keeps it, and the partial transpose still goes to LAPACK unchecked
+    n, m = dims
+    rng = np.random.default_rng(n * m)
+    v = rng.normal(size=n * m).astype(complex)
+    v /= np.linalg.norm(v)
+    assert (v.real > 0).any() and (v.real < 0).any()
+    rho = DensityMatrix.create(np.outer(v, v.conj()), dims)
+    parts = rho.matrix.view(np.float64)
+    assert (np.signbit(parts) & (parts == 0.0)).any()
+    assert np.array_equal(rho.matrix, numerics.dagger(rho.matrix))
+    checked = []
+    check_hermitian = numerics.check_hermitian
+
+    def counting(mat, *args, **kwargs):
+        checked.append(mat.shape)
+        return check_hermitian(mat, *args, **kwargs)
+
+    monkeypatch.setattr(numerics, "check_hermitian", counting)
+    _, measure = ppt_negativity(rho)
+    assert checked == []
+    assert measure.value == pytest.approx(negativity_oracle(rho.matrix, n, m), abs=1e-10)
+
+
 @pytest.mark.parametrize("dims", [(5, 5), (6, 6)])
 def test_a_matrix_not_built_by_unit_trace_is_still_checked_and_symmetrized(dims):
     # DensityMatrix(...) input keeps its bits: its partial transpose is checked
@@ -509,7 +536,7 @@ def test_a_matrix_not_built_by_unit_trace_is_still_checked_and_symmetrized(dims)
     skewed = random_density_oracle(rng, dim)
     skewed[dim - 1, 0] += 3e-13
     rho = DensityMatrix(dims, skewed.copy())
-    assert rho._exact is None and numerics.check_hermitian(rho.matrix) > 0.0
+    assert rho._built is False and numerics.check_hermitian(rho.matrix) > 0.0
     _, measure = ppt_negativity(rho)
     assert measure.value == _reference_negativity(rho.matrix, dims)
     skewed[dim - 1, 0] += 1e-9

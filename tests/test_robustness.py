@@ -321,6 +321,58 @@ def test_negativity_and_classification_are_local_invariants(drawn, seed):
                    - _measure(report, "negativity").value) <= 1e-10
 
 
+@st.composite
+def _ky_fan_routes(draw):
+    """``(route, (n, m), state, images)`` for the three ways to a normal form,
+    N, M <= 6: a Gaussian 2 x N x N ket (the N x N pencil), a Gaussian
+    2 x N x M ket with N < M <= 2N and M - N dividing N (the balanced k L_eps
+    state), and observation1 at n = 3 (filtering). ``images`` are the state
+    under random local unitaries and with its qunits swapped."""
+    route = draw(st.sampled_from(["pencil", "balanced", "filtering"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if route == "filtering":
+        theta = draw(st.floats(0.1, np.pi / 2 - 0.1))
+        p = draw(st.floats(0.05, 0.9))
+        rho = observation1_family(3, np.cos(theta), np.sin(theta), p,
+                                  sign=draw(st.sampled_from([1, -1])))
+        local = np.kron(random_unitary_oracle(rng, 3), random_unitary_oracle(rng, 3))
+        swapped = rho.matrix.reshape(3, 3, 3, 3).transpose(1, 0, 3, 2).reshape(9, 9)
+        images = [DensityMatrix.create(local @ rho.matrix @ local.conj().T, (3, 3)),
+                  DensityMatrix.create(swapped, (3, 3))]
+        return route, (3, 3), rho, images
+    if route == "pencil":
+        n = m = draw(st.integers(2, 6))
+    else:
+        n, m = draw(st.sampled_from([(2, 3), (2, 4), (3, 4), (3, 6), (4, 5), (4, 6), (5, 6)]))
+    state = StateVector.create(random_pure(rng, 2 * n * m), (2, n, m))
+    local = np.kron(random_unitary_oracle(rng, 2),
+                    np.kron(random_unitary_oracle(rng, n), random_unitary_oracle(rng, m)))
+    swapped = state.amplitudes.reshape(2, n, m).transpose(0, 2, 1).reshape(-1)
+    images = [StateVector.create(local @ state.amplitudes, (2, n, m)),
+              StateVector.create(swapped, (2, m, n))]
+    return route, (n, m), state, images
+
+
+@settings(max_examples=60, deadline=None, database=None, derandomize=True)
+@given(_ky_fan_routes())
+def test_ky_fan_statistic_is_a_local_invariant(drawn):
+    # the normal form is unique up to local unitaries, and swapping the qunits
+    # transposes the correlation matrix: neither moves its singular values.
+    # The closed forms agree to rounding; filtering stops once the marginals
+    # are within NF_TOL, so its statistic agrees to a small multiple of that
+    route, dims, state, images = drawn
+    report = _classify_any(state)
+    assert report.normal_form_status == "converged" and report.reduced_dims == dims
+    assert (report.nf_iterations > 0) is (route == "filtering")
+    statistic = _criterion(report, "ky_fan").statistic
+    for image in images:
+        other = _classify_any(image)
+        assert other.normal_form_status == "converged"
+        assert other.nf_iterations == 0 or route == "filtering"
+        tol = 100 * NF_TOL if route == "filtering" else 1e-10
+        assert abs(_criterion(other, "ky_fan").statistic - statistic) <= tol
+
+
 def test_converged_filtering_has_no_stop_reason():
     report = classify_qubit_loss(ghz())
     assert report.normal_form_status == "converged" and report.nf_stop is None
