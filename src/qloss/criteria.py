@@ -107,10 +107,11 @@ def ppt_negativity(rho: DensityMatrix) -> tuple[CriterionResult, MeasureValue]:
     (trace_norm(PT) - 1)/2; the two must agree to 1e-10. The PT spectrum
     comes from ``eigh`` up to N*M = 25 and from ``eigvalsh``, with no
     eigenvectors, above (see :func:`stacked_negativity`). A state that
-    :mod:`qloss.states` built equals its conjugate transpose entry for entry,
-    so above 25 its partial transpose is not checked again. A PPT verdict
-    certifies separability only where PPT is sufficient: N*M <= 6, or a
-    trivial local side (min(N, M) = 1, where every state is separable).
+    :mod:`qloss.states` built was symmetrized once where it was made, so
+    above 25 its partial transpose goes to LAPACK unchecked; any other is
+    checked, then symmetrized. A PPT verdict certifies separability only
+    where PPT is sufficient: N*M <= 6, or a trivial local side
+    (min(N, M) = 1, where every state is separable).
     """
     if len(rho.dims) != 2:
         raise DimensionMismatchError(f"PPT test needs bipartite dims, got {rho.dims}")
@@ -159,11 +160,9 @@ def stacked_negativity(mats: np.ndarray, dims: tuple[int, int]) -> np.ndarray:
     eigenvalues come from :func:`qloss.numerics.eigenvalues`: from ``eigh``
     up to nm = 25, from ``eigvalsh`` with no eigenvectors above.
 
-    Each member is checked for Hermiticity once, on its partial transpose:
-    that only permutes entries, so its deviations are the member's. A
-    partial transpose that is its own (h + h†)/2 bit for bit passes with no
-    subtraction and goes to LAPACK with no symmetrizing pass; any other is
-    symmetrized first, at every nm.
+    Each member is checked for Hermiticity once, on its partial transpose
+    (that only permutes entries, so its deviations are the member's), then
+    symmetrized, at every nm.
     """
     return _negativity(numerics.eigenvalues(transpose_side(mats, dims, 0)))
 

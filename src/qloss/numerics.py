@@ -21,14 +21,13 @@ Conventions, fixed once to avoid cross-module sign/order bugs:
 * eigenvalues are returned ascending,
 * singular values are returned descending,
 * spectra are those of (h + h†)/2, because downstream entanglement
-  criteria are eigenvalue-sign-sensitive. A matrix that already is its own
-  (h + h†)/2 bit for bit (see :func:`check_hermitian`) goes to LAPACK as it
-  is, with no symmetrizing pass. The states :mod:`qloss.states` builds
-  equal their conjugate transposes entry for entry, and so do their partial
-  transposes, which only permute entries: such a matrix is its own
-  (h + h†)/2 in value, if not always in the signs of its zeros. Their
-  spectra come from :func:`_built_eigenvalues`, which checks as
-  :func:`eigenvalues` does up to dimension 25 and checks nothing above.
+  criteria are eigenvalue-sign-sensitive. :func:`eigh` and
+  :func:`eigenvalues` check every matrix, then symmetrize it. The states
+  :mod:`qloss.states` builds are symmetrized once where they are made, which
+  leaves them, and their partial transposes, equal to their conjugate
+  transposes entry for entry. Their spectra come from
+  :func:`_built_eigenvalues`, which checks as :func:`eigenvalues` does up to
+  dimension 25 and hands the matrix to LAPACK unchecked above.
 """
 
 from __future__ import annotations
@@ -73,39 +72,21 @@ def _is_square(m: np.ndarray) -> bool:
     return m.ndim >= 2 and m.shape[-1] == m.shape[-2]
 
 
-def check_hermitian(m: np.ndarray, atol: float = HERMITIAN_ATOL, what: str = "matrix") -> float:
+def check_hermitian(m: np.ndarray, atol: float = HERMITIAN_ATOL, what: str = "matrix") -> None:
     """Raise :class:`NotHermitianError` unless ``m`` is a Hermitian matrix, or
-    a stack of them, at ``atol``; the message names the largest deviation.
-
-    Returns that deviation, max |m - m†|. It is 0.0 exactly when the
-    C-contiguous complex ``m`` is its own (m + m†)/2 bit for bit, which is
-    found with no subtraction: m equals m† entry for entry, holds no -0, and
-    no part reaches 2^1023 in modulus, where m + m† would overflow. (The
-    division by 2 mixes the parts of an entry, so a -0 can come out as +0,
-    and LAPACK's reflectors read the signs of zeros.) Any other m that agrees
-    with m† entry for entry reports the smallest subnormal.
-    """
+    a stack of them, at ``atol``; the message names the largest deviation,
+    max |m - m†|."""
     if not _is_square(m):
         raise NotHermitianError(f"{what} of shape {m.shape} is not square")
-    if m.dtype == np.complex128 and m.flags.c_contiguous:
-        h = np.conjugate(m.swapaxes(-1, -2), order="C")
-        h += 0.0                            # -0 becomes +0, so no -0 in m can match
-        if (m.view(np.int64) == h.view(np.int64)).all():
-            parts = m.view(np.float64)
-            if parts.max(initial=0.0) < 2.0**1023 and parts.min(initial=0.0) > -(2.0**1023):
-                return 0.0
-    else:
-        h = dagger(m)
-    dev = float(np.abs(m - h).max())
+    dev = float(np.abs(m - dagger(m)).max())
     if not dev <= atol:
         raise NotHermitianError(f"{what} is not Hermitian (max deviation {dev:.3e})")
-    return dev or float(np.finfo(float).smallest_subnormal)
 
 
 def _hermitian_part(h: np.ndarray, atol: float = HERMITIAN_ATOL) -> np.ndarray:
-    """(h + h†)/2 after :func:`check_hermitian` at ``atol``; ``h`` itself when
-    its deviation is 0.0."""
-    return (h + dagger(h)) / 2.0 if check_hermitian(h, atol) else h
+    """(h + h†)/2 after :func:`check_hermitian` at ``atol``."""
+    check_hermitian(h, atol)
+    return (h + dagger(h)) / 2.0
 
 
 def eigh(h: np.ndarray, atol: float = HERMITIAN_ATOL) -> tuple[np.ndarray, np.ndarray]:

@@ -69,7 +69,10 @@ class DensityMatrix:
     """Hermitian, unit-trace, PSD matrix with subsystem dimensions attached.
 
     Validated on construction, except by :meth:`_trusted`, which builds the
-    states derived from valid ones: those are PSD by construction."""
+    states derived from valid ones: those are PSD by construction. A matrix
+    given to ``DensityMatrix(...)`` is checked for Hermiticity; one that
+    :meth:`create` or :meth:`_trusted` built is symmetrized once, by
+    :func:`_unit_trace`, and is not checked again."""
 
     dims: tuple[int, ...]
     matrix: np.ndarray
@@ -84,7 +87,9 @@ class DensityMatrix:
         d = int(np.prod(dims))
         if mat.shape != (d, d):
             raise DimensionMismatchError(f"matrix shape {mat.shape} does not match dims {dims}")
-        (_check_unit_psd if self._built else check_density)(mat)
+        if not self._built:
+            numerics.check_hermitian(mat, what="density matrix")
+        _check_unit_psd(mat)
         mat.setflags(write=False)
         object.__setattr__(self, "dims", dims)
         object.__setattr__(self, "matrix", mat)
@@ -92,28 +97,22 @@ class DensityMatrix:
     @classmethod
     def create(cls, matrix, dims) -> "DensityMatrix":
         """Symmetrize, renormalize the trace, validate, and wrap."""
-        mat = np.asarray(matrix, dtype=complex)
-        numerics.check_hermitian(mat)
+        # entries that overflow once symmetrized are refused by _check_unit_psd
+        with np.errstate(over="ignore", invalid="ignore"):
+            mat = normalize_density(matrix)
         rho = object.__new__(cls)
         vars(rho)["_built"] = True
-        rho.__init__(tuple(int(d) for d in dims), _unit_trace(mat))
+        rho.__init__(tuple(int(d) for d in dims), mat)
         return rho
 
     @classmethod
     def _trusted(cls, matrix, dims, factor: np.ndarray | None = None) -> "DensityMatrix":
         """Symmetrize and renormalize like :meth:`create`, but check nothing;
         ``factor``, if given, is a Gram factor of ``matrix``."""
-        rho = cls._wrap(_unit_trace(np.asarray(matrix, dtype=complex)), dims, factor)
-        vars(rho)["_built"] = True
-        return rho
-
-    @classmethod
-    def _wrap(cls, mat: np.ndarray, dims, factor: np.ndarray | None = None) -> "DensityMatrix":
-        """Wrap a complex matrix that is Hermitian with unit trace by
-        construction, as it is: no symmetrization, rescaling or check."""
+        mat = _unit_trace(np.asarray(matrix, dtype=complex))
         mat.setflags(write=False)
         rho = object.__new__(cls)
-        vars(rho).update(dims=tuple(int(d) for d in dims), matrix=mat, _factor=factor)
+        vars(rho).update(dims=tuple(int(d) for d in dims), matrix=mat, _factor=factor, _built=True)
         return rho
 
     def _gram_factor(self, rank_tol: float = numerics.RANK_TOL) -> np.ndarray:
@@ -157,12 +156,12 @@ def normalize_density(matrix) -> np.ndarray:
 
 
 def _unit_trace(mat: np.ndarray) -> np.ndarray:
-    """(mat + mat^dag)/2 over its real trace, in one new array. The result
-    equals its conjugate transpose entry for entry: the sum is commutative,
-    and dividing by 2 and by a real trace treats an entry and its mirror
-    alike. So it is its own (h + h^dag)/2 in value, whatever signs its zeros
-    carry, and above dimension 25 the partial transpose of a state built
-    here goes to LAPACK unchecked (:func:`numerics._built_eigenvalues`).
+    """(mat + mat^dag)/2 over its real trace, in one new array: the one
+    symmetrization of every state the library builds. The result equals its
+    conjugate transpose entry for entry: the sum is commutative, and
+    dividing by 2 and by a real trace treats an entry and its mirror alike.
+    So does its partial transpose, which goes to LAPACK unchecked above
+    dimension 25 (:func:`numerics._built_eigenvalues`).
 
     Up to dimension 25 both divisions are numpy's complex divisions. Above,
     they are products of the float view, which take a fraction of the time:
@@ -185,24 +184,19 @@ def _unit_trace(mat: np.ndarray) -> np.ndarray:
     return out
 
 
-def check_density(mat: np.ndarray) -> None:
-    """Check that a matrix, or each matrix of a stack, is a density matrix:
-    Hermitian, unit trace and PSD, each to the module's tolerances.
-
-    Raises :class:`NotHermitianError`, :class:`InvalidParamsError` or
-    :class:`NotPSDError` for the first check that any member fails.
-    """
-    numerics.check_hermitian(mat, what="density matrix")
-    _check_unit_psd(mat)
-
-
 def _check_unit_psd(mat: np.ndarray) -> None:
+    """Raise :class:`InvalidParamsError` unless a Hermitian ``mat`` has unit
+    trace and is finite once symmetrized, and :class:`NotPSDError` unless
+    it is PSD, each to the module's tolerances."""
     tr = mat.trace(axis1=-2, axis2=-1).real
     off = np.abs(tr - 1.0)
     if not (off <= NORM_ATOL).all():            # a NaN trace fails too
         raise InvalidParamsError(f"density matrix trace is {float(tr.flat[off.argmax()])!r}, not 1")
-    numerics.check_psd(np.linalg.eigvalsh((mat + numerics.dagger(mat)) / 2.0),
-                       what="density matrix")
+    with np.errstate(over="ignore", invalid="ignore"):
+        sym = (mat + numerics.dagger(mat)) / 2.0
+    if not np.isfinite(sym).all():              # LAPACK fails on inf or NaN
+        raise InvalidParamsError("density matrix is not finite once symmetrized")
+    numerics.check_psd(np.linalg.eigvalsh(sym), what="density matrix")
 
 
 def _check_tripartite_dims(dims) -> None:

@@ -127,11 +127,15 @@ def test_analyze_non_psd_rho_is_input_error(tmp_path, capsys):
     assert "NotPSD" in err
 
 
-@pytest.mark.parametrize("entry", ["1e308+0i", "nan+0i"])
-def test_analyze_non_finite_rho_is_input_error(entry, tmp_path, capsys):
-    # 1e308 overflows when the matrix is symmetrized, so its trace is NaN
-    lines = ["dims: 2 2", "rho:",
-             f"{entry} 0 0 0", "0 1 0 0", "0 0 0 0", "0 0 0 0"]
+@pytest.mark.parametrize("rows", [
+    pytest.param(["1e308+0i 0 0 0", "0 1 0 0"], id="1e308+0i"),
+    pytest.param(["nan+0i 0 0 0", "0 1 0 0"], id="nan+0i"),
+    pytest.param(["0 1e308+0i 0 0", "1e308+0i 1 0 0"], id="off_diagonal_1e308"),
+])
+def test_analyze_non_finite_rho_is_input_error(rows, tmp_path, capsys):
+    # 1e308 overflows when the matrix is symmetrized: on the diagonal its
+    # trace is NaN, off it the unit-trace matrix is not finite
+    lines = ["dims: 2 2", "rho:", *rows, "0 0 0 0", "0 0 0 0"]
     path = tmp_path / "nonfinite.txt"
     path.write_text("\n".join(lines) + "\n")
     code, out, err = run_cli(["analyze", "--quiet", str(path)], capsys)

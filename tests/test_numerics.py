@@ -263,8 +263,8 @@ def _with_signed_zeros(rng, h):
 @pytest.mark.parametrize("dim", [2, 5, 25, 26, 40])
 @pytest.mark.parametrize("kind", ["exact", "perturbed", "signed_zeros", "stack"])
 def test_spectra_are_lapack_on_the_hermitian_part_bit_for_bit(dim, kind):
-    # eigh and eigenvalues skip the symmetrization only where it is the
-    # identity: the results are those of LAPACK on (h + h^dag)/2, exactly
+    # eigh and eigenvalues check, then symmetrize: the results are those of
+    # LAPACK on (h + h^dag)/2, exactly
     rng = np.random.default_rng(dim)
     h = random_hermitian(rng, dim)
     if kind == "perturbed":
@@ -273,8 +273,6 @@ def test_spectra_are_lapack_on_the_hermitian_part_bit_for_bit(dim, kind):
         h = _with_signed_zeros(rng, h)
     elif kind == "stack":
         h = np.stack([h, random_hermitian(rng, dim)])
-    deviation = numerics.check_hermitian(h)
-    assert (deviation == 0.0) == (kind in ("exact", "stack"))
     sym = _hermitian_part(h)
     w, v = numerics.eigh(h)
     want_w, want_v = np.linalg.eigh(sym)
@@ -286,18 +284,20 @@ def test_spectra_are_lapack_on_the_hermitian_part_bit_for_bit(dim, kind):
 def test_check_hermitian_reports_its_deviation():
     rng = np.random.default_rng(5)
     h = random_hermitian(rng, 6)
-    assert numerics.check_hermitian(h) == 0.0
     skewed = h.copy()
     skewed[4, 1] += 3e-13
-    assert numerics.check_hermitian(skewed) == pytest.approx(3e-13, rel=1e-3)
-    # equal entry for entry, but (h + h^dag)/2 turns this -0 into +0: not 0.0
+    # equal entry for entry, with a -0 that (h + h^dag)/2 turns into +0
     signed = np.array([[1.0, complex(-0.0, 0.5)], [complex(-0.0, -0.5), 1.0]])
-    assert np.array_equal(signed, signed.conj().T)
-    assert numerics.check_hermitian(signed) == np.finfo(float).smallest_subnormal
+    for passing in (h, skewed, signed):
+        assert numerics.check_hermitian(passing) is None
+    skewed[4, 1] += 1e-9
+    with pytest.raises(NotHermitianError, match="max deviation 1.000e-09"):
+        numerics.check_hermitian(skewed)
     for bad in (np.inf, np.nan):
         broken = h.copy()
         broken[2, 3] = broken[3, 2] = bad
-        with pytest.raises(NotHermitianError), np.errstate(invalid="ignore"):
+        with np.errstate(invalid="ignore"), pytest.raises(NotHermitianError,
+                                                          match="max deviation nan"):
             numerics.check_hermitian(broken)
 
 

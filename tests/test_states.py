@@ -32,7 +32,6 @@ from qloss.states import (
     _check_tripartite_dims,
     _gamma_residual,
     _unit_trace,
-    check_density,
     normalize_density,
     transpose_side,
 )
@@ -415,23 +414,27 @@ def test_reduce_support_preserves_spectra(n, m, rank, pad_a, pad_b, seed):
 
 
 def test_density_check_on_a_stack_matches_per_matrix_validation():
+    # normalize_density builds a stack as create builds each member, and
+    # refuses it if any member fails; DensityMatrix(...) checks one matrix
     rng = np.random.default_rng(14)
     raw = np.stack([3.0 * random_density_oracle(rng, 6) for _ in range(4)])
     stack = normalize_density(raw)
-    check_density(stack)
     for mat, normalized in zip(raw, stack):
         assert np.array_equal(DensityMatrix.create(mat, (2, 3)).matrix, normalized)
-    bad = {NotHermitianError: stack.copy(), InvalidParamsError: stack.copy(),
-           NotPSDError: normalize_density(np.stack([np.diag([1.0, 0, 0, 0, 0, 0])] * 4))}
-    bad[NotHermitianError][2, 0, 1] += 1e-6
-    bad[InvalidParamsError][3] *= 1.01
-    bad[NotPSDError][1] = np.diag([1.0 + 1e-6, -1e-6, 0, 0, 0, 0])
-    for error, mats in bad.items():
+        assert np.array_equal(DensityMatrix((2, 3), normalized).matrix, normalized)
+    skewed, empty = raw.copy(), raw.copy()
+    skewed[2, 0, 1] += 1e-6
+    empty[3] = 0.0
+    with pytest.raises(NotHermitianError):
+        normalize_density(skewed)
+    with pytest.raises(InvalidParamsError, match="zero trace"):
+        normalize_density(empty)
+    bad = {NotHermitianError: stack[2].copy(), InvalidParamsError: 1.01 * stack[3],
+           NotPSDError: np.diag([1.0 + 1e-6, -1e-6, 0, 0, 0, 0])}
+    bad[NotHermitianError][0, 1] += 1e-6
+    for error, mat in bad.items():
         with pytest.raises(error):
-            check_density(mats)
-        with pytest.raises(error):
-            for mat in mats:
-                DensityMatrix((2, 3), mat)
+            DensityMatrix((2, 3), mat)
 
 
 def _embedded(rng, g, dims):
@@ -448,8 +451,7 @@ def _embedded(rng, g, dims):
 @pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 4), (5, 5), (6, 4), (12, 12)])
 def test_built_states_are_their_own_hermitian_part(dims):
     # what the library builds equals its conjugate transpose entry for entry,
-    # and so do both of its partial transposes: the spectra skip the
-    # symmetrization, which would hand back the same bits
+    # and so do both of its partial transposes
     n, m = dims
     rng = np.random.default_rng(n * m)
     residual = _gamma_residual(StateVector.create(random_pure(rng, 2 * n * m), (2, n, m)))
@@ -462,7 +464,6 @@ def test_built_states_are_their_own_hermitian_part(dims):
         for mat in (rho.matrix, transpose_side(rho.matrix, dims, 0),
                     transpose_side(rho.matrix, dims, 1)):
             assert np.array_equal(mat, numerics.dagger(mat))
-            assert numerics.check_hermitian(mat) == 0.0
 
 
 def _scaling_input(rng, shape, kind):
@@ -515,14 +516,29 @@ def test_unit_trace_is_the_plain_arithmetic(shape):
             assert got.tobytes() == want.tobytes()
 
 
-@pytest.mark.parametrize("dims", [(2, 2), (6, 6)])
-def test_create_refuses_a_matrix_whose_entries_overflow(dims):
-    # 1e308 + 1e308 overflows, so the trace comes out NaN on either scaling
-    # path (numpy's division up to 25, float-view products above): an input
-    # error before LAPACK sees the matrix
-    mat = np.eye(dims[0] * dims[1], dtype=complex)
-    mat[0, 0] = 1e308
-    with pytest.raises(InvalidParamsError, match="trace is nan"):
+@pytest.mark.parametrize("dims, off_diagonal", [
+    pytest.param((2, 2), False, id="dims0"),
+    pytest.param((6, 6), False, id="dims1"),
+    pytest.param((2, 2), True, id="off_diagonal-dims0"),
+    pytest.param((6, 6), True, id="off_diagonal-dims1"),
+])
+def test_create_refuses_a_matrix_whose_entries_overflow(dims, off_diagonal):
+    # 1e308 + 1e308 overflows, on either scaling path (numpy's division up to
+    # 25, float-view products above): on the diagonal the trace comes out
+    # NaN, off it the unit-trace matrix is not finite; an input error before
+    # LAPACK sees the matrix, with no RuntimeWarning
+    d = dims[0] * dims[1]
+    if off_diagonal:
+        mat = np.zeros((d, d), dtype=complex)
+        mat[1, 1] = 1.0
+        mat[0, 1] = mat[1, 0] = 1e308
+        with pytest.raises(InvalidParamsError, match="not finite once symmetrized"):
+            DensityMatrix(dims, mat)
+    else:
+        mat = np.eye(d, dtype=complex)
+        mat[0, 0] = 1e308
+    with pytest.raises(InvalidParamsError,
+                       match="not finite once symmetrized" if off_diagonal else "trace is nan"):
         DensityMatrix.create(mat, dims)
 
 
