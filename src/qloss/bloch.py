@@ -20,13 +20,8 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from . import numerics
-from .errors import (
-    DimensionMismatchError,
-    NoConvergenceError,
-    NotPSDError,
-    RankDeficientError,
-)
-from .states import DensityMatrix
+from .errors import NoConvergenceError, NotPSDError, RankDeficientError
+from .states import DensityMatrix, _bipartite_dims
 from .su_basis import generators
 
 NF_TOL = 1e-9
@@ -120,9 +115,7 @@ def bloch_decompose(rho: DensityMatrix) -> BlochForm:
     a_u = Tr[rho (g_u (x) I)], b_v = Tr[rho (I (x) h_v)],
     t_uv = Tr[rho (g_u (x) h_v)]; all are real for Hermitian input.
     """
-    if len(rho.dims) != 2:
-        raise DimensionMismatchError(f"Bloch decomposition needs bipartite dims, got {rho.dims}")
-    n, m = rho.dims
+    n, m = _bipartite_dims(rho, "Bloch decomposition")
     gl = _basis_stack(n)
     gr = _basis_stack(m)
     tensor = rho.matrix.reshape(n, m, n, m)
@@ -315,9 +308,7 @@ def _normal_form_steps(
 ) -> tuple[DensityMatrix, int]:
     """Filtering loop; returns the filtered state and the iteration count (0
     on the pencil route, see :func:`normal_form`)."""
-    if len(rho.dims) != 2:
-        raise DimensionMismatchError(f"normal form needs bipartite dims, got {rho.dims}")
-    n, m = rho.dims
+    n, m = _bipartite_dims(rho, "normal form")
     # the marginals and their spectra, as reduce_support found them
     (rho_a, w_a, _), (rho_b, w_b, _) = rho._local_spectra()
     for w in (w_a, w_b):

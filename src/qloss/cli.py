@@ -20,12 +20,13 @@ import argparse
 import json
 import sys
 import time
+from dataclasses import asdict
 
 import numpy as np
 
 from . import numerics
 from .bloch import NF_TOL
-from .criteria import CriterionResult, MeasureValue, RoofBudget
+from .criteria import RoofBudget
 from .errors import InvalidParamsError, QlossError
 from .robustness import (
     Classification,
@@ -89,25 +90,6 @@ def _complex_pairs(matrix: np.ndarray) -> list:
     return [[[float(z.real), float(z.imag)] for z in row] for row in np.asarray(matrix)]
 
 
-def criterion_to_dict(result: CriterionResult) -> dict:
-    return {
-        "name": result.name,
-        "statistic": float(result.statistic),
-        "threshold": float(result.threshold),
-        "verdict": result.verdict.value,
-        "notes": result.notes,
-    }
-
-
-def measure_to_dict(measure: MeasureValue) -> dict:
-    return {
-        "name": measure.name,
-        "value": float(measure.value),
-        "kind": measure.kind,
-        "notes": measure.notes,
-    }
-
-
 def report_to_dict(report: RobustnessReport) -> dict:
     return {
         "input": report.input,
@@ -118,9 +100,9 @@ def report_to_dict(report: RobustnessReport) -> dict:
             "iterations": report.nf_iterations,
             "stop": report.nf_stop,
         },
-        "criteria": [criterion_to_dict(c) for c in report.criteria],
-        "informational": [criterion_to_dict(c) for c in report.informational],
-        "measures": [measure_to_dict(m) for m in report.measures],
+        "criteria": [asdict(c) for c in report.criteria],
+        "informational": [asdict(c) for c in report.informational],
+        "measures": [asdict(m) for m in report.measures],
         "classification": report.classification.value,
         "provenance": report.provenance,
     }
@@ -163,7 +145,10 @@ def _parse_grid(text: str) -> list[float]:
         start, stop, step = _grid_values(parts, text, "grid range")
         if step <= 0:
             raise InvalidParamsError(f"grid step must be positive, got {step}")
-        count = int(np.floor((stop - start) / step + 1e-9)) + 1
+        span = (stop - start) / step
+        if not np.isfinite(span):               # e.g. 0:1e300:1e-300 or 0:1:1e-320
+            raise InvalidParamsError(f"grid range must be finite in points, got {text!r}")
+        count = int(np.floor(span + 1e-9)) + 1
         if count < 1:
             return []
         return [round(start + i * step, 12) for i in range(count)]
@@ -268,24 +253,17 @@ _SWEEP_STAT_COLS = ["negativity", "kf_statistic", "kf_threshold", "length_bound"
 
 
 def _sweep_row(point, columns) -> list[str]:
-    cells = [_fmt(point.params.get(name)) for name in columns]
-    stats = {name: None for name in _SWEEP_STAT_COLS}
-    stats["error"] = point.error
-    if point.report is not None:
-        report = point.report
-        for measure in report.measures:
-            if measure.name == "negativity":
-                stats["negativity"] = measure.value
-        for crit in report.criteria:
-            if crit.name == "ky_fan":
-                stats["kf_statistic"] = crit.statistic
-                stats["kf_threshold"] = crit.threshold
-        for crit in report.informational:
-            if crit.name == "length_bound":
-                stats["length_bound"] = crit.statistic
-        stats["normal_form"] = report.normal_form_status
-        stats["classification"] = report.classification.value
-    return cells + [_fmt(stats[name]) for name in _SWEEP_STAT_COLS]
+    values = [point.params.get(name) for name in columns]
+    report = point.report
+    if report is None:
+        values += [None] * (len(_SWEEP_STAT_COLS) - 1)
+    else:
+        entries = {e.name: e for e in report.criteria + report.informational + report.measures}
+        entry = lambda name, field: getattr(entries.get(name), field, None)
+        values += [entry("negativity", "value"), entry("ky_fan", "statistic"),
+                   entry("ky_fan", "threshold"), entry("length_bound", "statistic"),
+                   report.normal_form_status, report.classification.value]
+    return [_fmt(value) for value in values + [point.error]]
 
 
 def _cmd_sweep(args) -> int:

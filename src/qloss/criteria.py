@@ -28,7 +28,7 @@ import numpy as np
 from . import numerics
 from .bloch import CorrelationSVD
 from .errors import DimensionMismatchError, QlossError
-from .states import DensityMatrix, StateVector, transpose_side
+from .states import DensityMatrix, StateVector, _bipartite_dims, transpose_side
 from .su_basis import generators
 
 DEADBAND = 1e-10
@@ -113,9 +113,7 @@ def ppt_negativity(rho: DensityMatrix) -> tuple[CriterionResult, MeasureValue]:
     where PPT is sufficient: N*M <= 6, or a trivial local side
     (min(N, M) = 1, where every state is separable).
     """
-    if len(rho.dims) != 2:
-        raise DimensionMismatchError(f"PPT test needs bipartite dims, got {rho.dims}")
-    n, m = rho.dims
+    n, m = _bipartite_dims(rho, "PPT test")
     pt = transpose_side(rho.matrix[None], rho.dims, 0)
     w = numerics._built_eigenvalues(pt) if rho._built else numerics.eigenvalues(pt)
     negativity = float(_negativity(w)[0])
@@ -134,9 +132,7 @@ def ppt_negativity(rho: DensityMatrix) -> tuple[CriterionResult, MeasureValue]:
 
 def concurrence_pure(state: StateVector) -> MeasureValue:
     """Concurrence of a pure bipartite state, sqrt(2 (1 - Tr rho_A^2))."""
-    if len(state.dims) != 2:
-        raise DimensionMismatchError(f"expected a bipartite pure state, got dims {state.dims}")
-    n, m = state.dims
+    n, m = _bipartite_dims(state, "pure-state concurrence")
     block = state.amplitudes.reshape(n, m)
     rho_a = block @ block.conj().T
     purity = float(np.einsum("ij,ji->", rho_a, rho_a).real)
@@ -221,9 +217,7 @@ def concurrence_roof(rho: DensityMatrix, budget: RoofBudget,
     convex-roof infimum; no convergence claim is made. Seed, budget and
     ensemble size are recorded in the output notes for reproducibility.
     """
-    if len(rho.dims) != 2:
-        raise DimensionMismatchError(f"concurrence needs bipartite dims, got {rho.dims}")
-    n, m = rho.dims
+    n, m = _bipartite_dims(rho, "concurrence")
     sub = rho._gram_factor(rank_tol)                # columns are subnormalized
     rank = sub.shape[1]
     size = rank + 2
@@ -264,9 +258,7 @@ def concurrence(rho: DensityMatrix, budget: RoofBudget | None = None,
     with a ``budget``, anything else gets the convex-roof upper bound
     (flagged as such in the result). Otherwise there is no value: None.
     """
-    if len(rho.dims) != 2:
-        raise DimensionMismatchError(f"concurrence needs bipartite dims, got {rho.dims}")
-    if rho.dims == (2, 2):
+    if _bipartite_dims(rho, "concurrence") == (2, 2):
         return MeasureValue("concurrence", wootters_concurrence(rho), "exact",
                             notes="spin-flip eigenvalue formula")
     # under the rank_tol rule a pure state has 1 - Tr(rho^2) <= 2 (d - 1) rank_tol,

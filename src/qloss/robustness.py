@@ -262,7 +262,7 @@ def observation1_family(
         raise InvalidParamsError(f"local dimension must be >= 2, got {n}")
     if not (0.0 <= p <= 1.0):
         raise InvalidParamsError(f"mixing probability must be in [0, 1], got {p}")
-    if abs(alpha * alpha + beta * beta - 1.0) > 1e-12:
+    if not abs(alpha * alpha + beta * beta - 1.0) <= 1e-12:     # NaN fails too
         raise InvalidParamsError("alpha^2 + beta^2 must equal 1")
     if sign not in (1, -1):
         raise InvalidParamsError(f"sign must be +1 or -1, got {sign}")

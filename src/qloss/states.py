@@ -211,6 +211,13 @@ def _check_tripartite_dims(dims) -> None:
             f"qunit dimensions must be at least 2, got ({dims[1]}, {dims[2]})")
 
 
+def _bipartite_dims(state, what: str) -> tuple[int, int]:
+    """``state.dims`` as ``(N, M)``; raise, naming ``what``, unless there are two."""
+    if len(state.dims) != 2:
+        raise DimensionMismatchError(f"{what} needs bipartite dims, got {state.dims}")
+    return state.dims
+
+
 def density(state: StateVector) -> DensityMatrix:
     """Rank-1 projector |psi><psi| of a pure state."""
     rho = np.outer(state.amplitudes, state.amplitudes.conj())
@@ -252,11 +259,10 @@ def partial_transpose(rho: DensityMatrix, subsystem: int = 0) -> np.ndarray:
     The output is Hermitian with unit trace but in general not PSD; a
     negative eigenvalue witnesses entanglement.
     """
-    if len(rho.dims) != 2:
-        raise DimensionMismatchError(f"partial transpose needs bipartite dims, got {rho.dims}")
+    dims = _bipartite_dims(rho, "partial transpose")
     if subsystem not in (0, 1):
         raise InvalidSubsystemError(f"subsystem must be 0 or 1, got {subsystem}")
-    return transpose_side(rho.matrix, rho.dims, subsystem)
+    return transpose_side(rho.matrix, dims, subsystem)
 
 
 def transpose_side(mats: np.ndarray, dims: tuple[int, int], subsystem: int) -> np.ndarray:
@@ -281,9 +287,7 @@ def reduce_support(rho: DensityMatrix, rank_tol: float = numerics.RANK_TOL) -> D
     unchanged. Degenerate marginal eigenvalues only permute vectors inside
     the support subspace, which the compression is blind to.
     """
-    if len(rho.dims) != 2:
-        raise DimensionMismatchError(f"support reduction needs bipartite dims, got {rho.dims}")
-    big_n, big_m = rho.dims
+    big_n, big_m = _bipartite_dims(rho, "support reduction")
     basis = []
     ranks = []
     for _, w, v in rho._local_spectra():

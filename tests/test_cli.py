@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from qloss import cli, sweep
+from qloss import Verdict, cli, sweep
 
 EX4_FILE = "dims: 2 3 3\nket: |010> + |001> + |112> + |121>\n"
 GHZ_FILE = "dims: 2 2 2\nket: 1/sqrt(2)|000> + 1/sqrt(2)|111>\n"
@@ -93,6 +93,22 @@ def test_analyze_inline_ket(capsys):
          "--quiet"], capsys)
     assert code == 0
     assert json.loads(out)["input"]["format"] == "ket"
+
+
+def test_analyze_renders_criteria_and_measures_field_by_field(capsys):
+    # criteria and measures reach the JSON as their dataclasses' fields, in order
+    code, out, _ = run_cli(["analyze", "--ket", "|000> + |011> + |022>", "--dims", "2", "3", "3",
+                            "--quiet"], capsys)
+    assert code == 0
+    report = json.loads(out)["report"]
+    crits = report["criteria"] + report["informational"]
+    assert [c["name"] for c in crits] == ["ppt", "ky_fan", "length_bound"]
+    for crit in crits:
+        assert list(crit) == ["name", "statistic", "threshold", "verdict", "notes"]
+        assert type(crit["verdict"]) is str and crit["verdict"] in {v.value for v in Verdict}
+    assert [m["name"] for m in report["measures"]] == ["negativity", "concurrence"]
+    for measure in report["measures"]:
+        assert list(measure) == ["name", "value", "kind", "notes"]
 
 
 def test_analyze_json_round_trips_losslessly(tmp_path, capsys):
@@ -353,8 +369,8 @@ def test_sweep_grid_syntax_error(capsys):
     code, out, err = run_cli(["sweep", "observation1", "--p", "0:1:0"], capsys)
     assert (code, out) == (64, "")
     assert "grid step must be positive" in err
-    # a range that is not finite has no count of points
-    for grid in ["0:1:nan", "nan:1:0.5", "0:inf:0.1", "0:x:0.1"]:
+    # a range that is not finite has no count of points, nor has one whose count overflows
+    for grid in ["0:1:nan", "nan:1:0.5", "0:inf:0.1", "0:x:0.1", "0:1e300:1e-300", "0:1:1e-320"]:
         code, out, err = run_cli(["sweep", "observation1", "--p", grid], capsys)
         assert (code, out) == (64, ""), grid
         assert "grid range must be finite" in err

@@ -25,14 +25,16 @@ from qloss import (
     normal_form,
     parse_ket,
     partial_trace,
+    partial_transpose,
     ppt_negativity,
+    reduce_support,
     tiles_state,
     w,
     wootters_concurrence,
 )
 from qloss import numerics
 from qloss.criteria import stacked_negativity, stacked_wootters
-from qloss.errors import NotHermitianError, NotPSDError, QlossError
+from qloss.errors import DimensionMismatchError, NotHermitianError, NotPSDError, QlossError
 from qloss.states import (
     _gamma_residual,
     normalize_density,
@@ -344,6 +346,29 @@ def test_roof_is_deterministic_under_seed():
     a = concurrence_roof(rho, budget).value
     b = concurrence_roof(rho, budget).value
     assert a == b
+
+
+# --- bipartite input ---------------------------------------------------------------
+
+
+@pytest.mark.parametrize("stage, what", [
+    (partial_transpose, "partial transpose"),
+    (reduce_support, "support reduction"),
+    (bloch_decompose, "Bloch decomposition"),
+    (normal_form, "normal form"),
+    (ppt_negativity, "PPT test"),
+    (concurrence_pure, "pure-state concurrence"),
+    (lambda rho: concurrence_roof(rho, RoofBudget(restarts=1, iterations=1)), "concurrence"),
+    (concurrence, "concurrence"),
+], ids=["partial_transpose", "reduce_support", "bloch_decompose", "normal_form",
+        "ppt_negativity", "concurrence_pure", "concurrence_roof", "concurrence"])
+def test_stages_refuse_a_state_that_is_not_bipartite(stage, what):
+    # every stage that splits a state into its N and M sides refuses three
+    # subsystems, naming itself, before it reads the matrix
+    state = ghz() if stage is concurrence_pure else density(ghz())
+    with pytest.raises(DimensionMismatchError,
+                       match=f"^{what} needs bipartite dims, got \\(2, 2, 2\\)$"):
+        stage(state)
 
 
 # --- the 2x4 family and its separable region ----------------------------------

@@ -629,6 +629,9 @@ def test_observation1_invalid_params():
         observation1_family(2, s, s, 0.5, e_index=1, eperp_index=1)
     with pytest.raises(InvalidParamsError):
         observation1_family(2, s, s, 0.5, sign=2)
+    for alpha, beta in [(np.nan, np.nan), (np.inf, np.nan)]:    # NaN is not normalized
+        with pytest.raises(InvalidParamsError, match="alpha\\^2 \\+ beta\\^2 must equal 1"):
+            observation1_family(2, alpha, beta, 0.5)
 
 
 # --- tiles state -----------------------------------------------------------------
