@@ -361,9 +361,9 @@ def _normal_form_steps(
         # (operator Sinkhorn scaling); applying both filters of one state at
         # once falls into a 2-cycle on rank-2 N x N residuals
         try:
-            g_a = numerics.inv_sqrt_psd(n * rho_a, rank_tol, omega) @ g.reshape(n, -1)
+            g_a = numerics._inv_sqrt_psd(n * rho_a, rank_tol, omega) @ g.reshape(n, -1)
             g_b = g_a.reshape(n, m, -1).transpose(1, 0, 2).reshape(m, -1)
-            g_b = numerics.inv_sqrt_psd(m * (g_b @ g_b.conj().T), rank_tol, omega) @ g_b
+            g_b = numerics._inv_sqrt_psd(m * (g_b @ g_b.conj().T), rank_tol, omega) @ g_b
         except NotPSDError as exc:
             # divergent trajectories on rank-deficient states amplify noise
             # until a marginal leaves the PSD cone: a filtering breakdown

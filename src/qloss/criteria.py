@@ -106,16 +106,18 @@ def ppt_negativity(rho: DensityMatrix) -> tuple[CriterionResult, MeasureValue]:
     Negativity is computed both as |sum of negative PT eigenvalues| and as
     (trace_norm(PT) - 1)/2; the two must agree to 1e-10. The PT spectrum
     comes from ``eigh`` up to N*M = 25 and from ``eigvalsh``, with no
-    eigenvectors, above (see :func:`stacked_negativity`). A state that
-    :mod:`qloss.states` built was symmetrized once where it was made, so
-    above 25 its partial transpose goes to LAPACK unchecked; any other is
-    checked, then symmetrized. A PPT verdict certifies separability only
-    where PPT is sufficient: N*M <= 6, or a trivial local side
-    (min(N, M) = 1, where every state is separable).
+    eigenvectors, above (see :func:`stacked_negativity`). Hermiticity was
+    checked where ``rho`` entered qloss (``DensityMatrix(...)``,
+    :meth:`DensityMatrix.create`), unless qloss built it, so the partial
+    transpose is not checked again: it is symmetrized, then solved, except
+    that a built state's partial transpose above 25 equals its conjugate
+    transpose entry for entry and goes to LAPACK as it is. A PPT verdict
+    certifies separability only where PPT is sufficient: N*M <= 6, or a
+    trivial local side (min(N, M) = 1, where every state is separable).
     """
     n, m = _bipartite_dims(rho, "PPT test")
     pt = transpose_side(rho.matrix[None], rho.dims, 0)
-    w = numerics._built_eigenvalues(pt) if rho._built else numerics.eigenvalues(pt)
+    w = numerics._built_eigenvalues(pt) if rho._built else numerics._eigenvalues(pt)
     negativity = float(_negativity(w)[0])
     if negativity > DEADBAND:
         verdict = Verdict.DETECTED
@@ -177,9 +179,14 @@ def _negativity(w: np.ndarray) -> np.ndarray:
 
 
 def stacked_wootters(mats: np.ndarray) -> np.ndarray:
-    """Wootters concurrence of each two-qubit density matrix of a ``(k, 4, 4)`` stack."""
-    root = numerics.sqrt_psd(mats)
-    w = numerics.eigenvalues(root @ SPIN_FLIP @ mats.conj() @ SPIN_FLIP @ root)
+    """Wootters concurrence of each two-qubit density matrix of a ``(k, 4, 4)`` stack.
+
+    The members are not checked for Hermiticity: they are density matrices,
+    or a stack :func:`~qloss.states.normalize_density` checked. The square
+    root still raises :class:`NotPSDError` on a member that is not PSD.
+    """
+    root = numerics._sqrt_psd(mats)
+    w = numerics._eigenvalues(root @ SPIN_FLIP @ mats.conj() @ SPIN_FLIP @ root)
     lam = np.sqrt(np.clip(w, 0.0, None))[..., ::-1]
     value = lam[..., 0] - lam[..., 1] - lam[..., 2] - lam[..., 3]
     return np.where(value > 0, value, 0.0)

@@ -21,13 +21,22 @@ Conventions, fixed once to avoid cross-module sign/order bugs:
 * eigenvalues are returned ascending,
 * singular values are returned descending,
 * spectra are those of (h + h†)/2, because downstream entanglement
-  criteria are eigenvalue-sign-sensitive. :func:`eigh` and
-  :func:`eigenvalues` check every matrix, then symmetrize it. The states
-  :mod:`qloss.states` builds are symmetrized once where they are made, which
-  leaves them, and their partial transposes, equal to their conjugate
-  transposes entry for entry. Their spectra come from
-  :func:`_built_eigenvalues`, which checks as :func:`eigenvalues` does up to
-  dimension 25 and hands the matrix to LAPACK unchecked above.
+  criteria are eigenvalue-sign-sensitive.
+
+Each eigensolving operation is one private kernel, which symmetrizes and
+calls LAPACK and checks nothing else (:func:`_eigh`, :func:`_eigenvalues`,
+and :func:`_sqrt_psd` and :func:`_inv_sqrt_psd`, which keep their PSD check
+and the :func:`support` rule). The public :func:`eigh`, :func:`eigenvalues`,
+:func:`sqrt_psd` and :func:`inv_sqrt_psd` are :func:`check_hermitian` plus
+that kernel, bit for bit. Hermiticity is checked where a matrix enters
+qloss: here, in ``DensityMatrix(...)``, :meth:`DensityMatrix.create`,
+:func:`~qloss.states.normalize_density` and
+:func:`~qloss.criteria.stacked_negativity`. A matrix that qloss validated or
+built goes to the kernels unchecked. The states :mod:`qloss.states` builds
+are symmetrized once where they are made, which leaves them, and their
+partial transposes, equal to their conjugate transposes entry for entry;
+above dimension 25 :func:`_built_eigenvalues` hands those to LAPACK with no
+symmetrization either.
 """
 
 from __future__ import annotations
@@ -83,10 +92,13 @@ def check_hermitian(m: np.ndarray, atol: float = HERMITIAN_ATOL, what: str = "ma
         raise NotHermitianError(f"{what} is not Hermitian (max deviation {dev:.3e})")
 
 
-def _hermitian_part(h: np.ndarray, atol: float = HERMITIAN_ATOL) -> np.ndarray:
-    """(h + h†)/2 after :func:`check_hermitian` at ``atol``."""
-    check_hermitian(h, atol)
+def _symmetrized(h: np.ndarray) -> np.ndarray:
     return (h + dagger(h)) / 2.0
+
+
+def _eigh(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`eigh` of a complex matrix, or stack, unchecked."""
+    return np.linalg.eigh(_symmetrized(h))
 
 
 def eigh(h: np.ndarray, atol: float = HERMITIAN_ATOL) -> tuple[np.ndarray, np.ndarray]:
@@ -96,8 +108,16 @@ def eigh(h: np.ndarray, atol: float = HERMITIAN_ATOL) -> tuple[np.ndarray, np.nd
     and ``h = V diag(w) V†`` per member. Raises :class:`NotHermitianError`
     if the symmetry check fails at ``atol`` on any member.
     """
-    w, v = np.linalg.eigh(_hermitian_part(np.asarray(h, dtype=complex), atol))
-    return w, v
+    h = np.asarray(h, dtype=complex)
+    check_hermitian(h, atol)
+    return _eigh(h)
+
+
+def _eigenvalues(h: np.ndarray) -> np.ndarray:
+    """:func:`eigenvalues` of a complex matrix, or stack, unchecked."""
+    if h.shape[-1] > _EIGENVECTORS_UP_TO:
+        return np.linalg.eigvalsh(_symmetrized(h))
+    return _eigh(h)[0]
 
 
 def eigenvalues(h: np.ndarray) -> np.ndarray:
@@ -108,19 +128,18 @@ def eigenvalues(h: np.ndarray) -> np.ndarray:
     :class:`NotHermitianError` if the symmetry check fails on any member.
     """
     h = np.asarray(h, dtype=complex)
-    if not (_is_square(h) and h.shape[-1] > _EIGENVECTORS_UP_TO):
-        return eigh(h)[0]
-    return np.linalg.eigvalsh(_hermitian_part(h))
+    check_hermitian(h)
+    return _eigenvalues(h)
 
 
 def _built_eigenvalues(h: np.ndarray) -> np.ndarray:
-    """:func:`eigenvalues` of a matrix, or stack, that equals its conjugate
+    """:func:`_eigenvalues` of a matrix, or stack, that equals its conjugate
     transpose entry for entry by construction, as the partial transpose of a
-    built state does: checked as :func:`eigenvalues` checks up to dimension
-    25, and handed to ``eigvalsh`` unchecked, with no copy, above."""
+    built state does; above dimension 25 it goes to ``eigvalsh`` as it is,
+    with no copy."""
     if h.shape[-1] > _EIGENVECTORS_UP_TO:
         return np.linalg.eigvalsh(h)
-    return eigenvalues(h)
+    return _eigenvalues(h)
 
 
 def singular_values(m: np.ndarray) -> np.ndarray:
@@ -162,19 +181,39 @@ def support(w: np.ndarray, rank_tol: float = RANK_TOL) -> np.ndarray:
     return w > rank_tol * w.max(axis=-1, keepdims=True, initial=0.0)
 
 
-def _psd_spectrum(h: np.ndarray, atol: float = PSD_ATOL) -> tuple[np.ndarray, np.ndarray]:
-    w, v = eigh(h, atol=max(HERMITIAN_ATOL, atol))
-    check_psd(w, atol)
+# the square roots check Hermiticity at the PSD tolerance
+_ROOT_ATOL = max(HERMITIAN_ATOL, PSD_ATOL)
+
+
+def _psd_spectrum(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    w, v = _eigh(h)
+    check_psd(w)
     return w, v
+
+
+def _sqrt_psd(h: np.ndarray, rank_tol: float = RANK_TOL) -> np.ndarray:
+    """:func:`sqrt_psd` of a complex matrix, or stack, with no Hermiticity check."""
+    w, v = _psd_spectrum(h)
+    root = np.where(support(w, rank_tol), np.sqrt(np.clip(w, 0.0, None)), 0.0)
+    return (v * root[..., None, :]) @ dagger(v)
 
 
 def sqrt_psd(h: np.ndarray, rank_tol: float = RANK_TOL) -> np.ndarray:
     """Principal square root of a PSD matrix, or of each matrix of a stack
     (on each member's :func:`support` only: the other eigenvalues are
     dropped)."""
+    h = np.asarray(h, dtype=complex)
+    check_hermitian(h, _ROOT_ATOL)
+    return _sqrt_psd(h, rank_tol)
+
+
+def _inv_sqrt_psd(h: np.ndarray, rank_tol: float = RANK_TOL, power: float = 1.0) -> np.ndarray:
+    """:func:`inv_sqrt_psd` of a complex matrix with no Hermiticity check."""
     w, v = _psd_spectrum(h)
-    root = np.where(support(w, rank_tol), np.sqrt(np.clip(w, 0.0, None)), 0.0)
-    return (v * root[..., None, :]) @ dagger(v)
+    keep = support(w, rank_tol)
+    inv = np.zeros_like(w)
+    inv[keep] = (1.0 / np.sqrt(w[keep])) ** power
+    return (v * inv) @ v.conj().T
 
 
 def inv_sqrt_psd(h: np.ndarray, rank_tol: float = RANK_TOL, power: float = 1.0) -> np.ndarray:
@@ -186,8 +225,6 @@ def inv_sqrt_psd(h: np.ndarray, rank_tol: float = RANK_TOL, power: float = 1.0) 
     :class:`NotPSDError` if an eigenvalue is below -1e-10. The power is taken
     of ``1/sqrt(w)``, so ``power=1`` is the plain inverse square root bit for bit.
     """
-    w, v = _psd_spectrum(h)
-    keep = support(w, rank_tol)
-    inv = np.zeros_like(w)
-    inv[keep] = (1.0 / np.sqrt(w[keep])) ** power
-    return (v * inv) @ v.conj().T
+    h = np.asarray(h, dtype=complex)
+    check_hermitian(h, _ROOT_ATOL)
+    return _inv_sqrt_psd(h, rank_tol, power)

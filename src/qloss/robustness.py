@@ -273,7 +273,8 @@ def observation1_family(
     psi[e_index * n + eperp_index] = alpha
     psi[eperp_index * n + e_index] = sign * beta
     mat = p * np.outer(psi, psi.conj()) + (1.0 - p) * np.eye(n * n) / (n * n)
-    return DensityMatrix.create(mat, (n, n))
+    # PSD for every p in [0, 1] and unit |psi|, so nothing is left to validate
+    return DensityMatrix._trusted(mat, (n, n))
 
 
 def tiles_state() -> DensityMatrix:

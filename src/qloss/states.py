@@ -69,10 +69,13 @@ class DensityMatrix:
     """Hermitian, unit-trace, PSD matrix with subsystem dimensions attached.
 
     Validated on construction, except by :meth:`_trusted`, which builds the
-    states derived from valid ones: those are PSD by construction. A matrix
-    given to ``DensityMatrix(...)`` is checked for Hermiticity; one that
-    :meth:`create` or :meth:`_trusted` built is symmetrized once, by
-    :func:`_unit_trace`, and is not checked again."""
+    states derived from valid ones and those that checked parameters make
+    valid: they are PSD by construction. Hermiticity is checked here, where a
+    matrix enters qloss: on ``DensityMatrix(...)`` input as given, and on
+    :meth:`create` input before :func:`_unit_trace` symmetrizes it once.
+    Nothing downstream checks a state's matrix again: the pipeline hands it,
+    and the matrices derived from it, to the unchecked :mod:`qloss.numerics`
+    kernels."""
 
     dims: tuple[int, ...]
     matrix: np.ndarray
@@ -120,25 +123,21 @@ class DensityMatrix:
         eigenvalue on the :func:`numerics.support`, ascending. A kept factor G
         is orthogonalised through G^dag G, else ``matrix`` is diagonalised."""
         g = self._factor
-        if g is None:
-            w, v = numerics.eigh(self.matrix)
-        else:
-            # G^dag G is Hermitian by construction: symmetrized as eigh would, unchecked
-            gram = g.conj().T @ g
-            w, v = np.linalg.eigh((gram + numerics.dagger(gram)) / 2.0)
+        w, v = numerics._eigh(self.matrix if g is None else g.conj().T @ g)
         keep = numerics.support(w, rank_tol)
         return v[:, keep] * np.sqrt(w[keep]) if g is None else g @ v[:, keep]
 
     def _local_spectra(self) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]:
         """``(marginal, w, V)`` for each side of a bipartite state: the reduced
-        matrix and its :func:`numerics.eigh`. Computed once per state, since
-        :func:`reduce_support` and the normal form both read them."""
+        matrix and its :func:`numerics.eigh`, unchecked. Computed once per
+        state, since :func:`reduce_support` and the normal form both read them."""
         if self._marginals is None:
             n, m = self.dims
             tensor = self.matrix.reshape(n, m, n, m)
             sides = np.einsum("jmkm->jk", tensor), np.einsum("jmjn->mn", tensor)
             # one call on N x N: each member of a stack gets its own call's arithmetic
-            spectra = zip(*numerics.eigh(np.stack(sides))) if n == m else map(numerics.eigh, sides)
+            spectra = (zip(*numerics._eigh(np.stack(sides))) if n == m
+                       else map(numerics._eigh, sides))
             vars(self)["_marginals"] = tuple((side, w, v) for side, (w, v) in zip(sides, spectra))
         return self._marginals
 
@@ -160,8 +159,10 @@ def _unit_trace(mat: np.ndarray) -> np.ndarray:
     symmetrization of every state the library builds. The result equals its
     conjugate transpose entry for entry: the sum is commutative, and
     dividing by 2 and by a real trace treats an entry and its mirror alike.
-    So does its partial transpose, which goes to LAPACK unchecked above
-    dimension 25 (:func:`numerics._built_eigenvalues`).
+    So does its partial transpose. No check runs here: the input was
+    checked where it entered qloss (:func:`normalize_density`), or qloss
+    built it. The partial transpose goes to LAPACK unchecked, and above
+    dimension 25 unsymmetrized (:func:`numerics._built_eigenvalues`).
 
     Up to dimension 25 both divisions are numpy's complex divisions. Above,
     they are products of the float view, which take a fraction of the time:

@@ -667,7 +667,7 @@ def test_pencil_routes_never_filter(dims, monkeypatch):
     # (4, 3) is an N > M residual, read transposed
     def refuse(*args):
         raise AssertionError("the pencil route filtered")
-    monkeypatch.setattr(bloch.numerics, "inv_sqrt_psd", refuse)
+    monkeypatch.setattr(bloch.numerics, "_inv_sqrt_psd", refuse)
     n, m = dims
     for seed in range(3):
         rho = _gamma_residual(_draw([n * m, seed], [(n, m)], 0))
@@ -781,7 +781,7 @@ def _rank3_residual():
 def _filter_failing_at(k, monkeypatch):
     """Make the k-th filter of a run (two per step, F_A then F_B) raise
     :class:`NotPSDError`, as a marginal that left the PSD cone does."""
-    inv_sqrt_psd = bloch.numerics.inv_sqrt_psd
+    inv_sqrt_psd = bloch.numerics._inv_sqrt_psd
     calls = []
 
     def failing(*args):
@@ -790,7 +790,7 @@ def _filter_failing_at(k, monkeypatch):
             raise NotPSDError("negative eigenvalue")
         return inv_sqrt_psd(*args)
 
-    monkeypatch.setattr(bloch.numerics, "inv_sqrt_psd", failing)
+    monkeypatch.setattr(bloch.numerics, "_inv_sqrt_psd", failing)
 
 
 @pytest.mark.parametrize("k", [1, 2, 3, 12])
@@ -804,7 +804,7 @@ def test_filtering_breakdown_reports_the_step_it_broke_at(k, monkeypatch):
 
 
 def test_filtering_that_collapses_the_state_is_a_breakdown(monkeypatch):
-    monkeypatch.setattr(bloch.numerics, "inv_sqrt_psd", lambda h, *args: np.zeros_like(h))
+    monkeypatch.setattr(bloch.numerics, "_inv_sqrt_psd", lambda h, *args: np.zeros_like(h))
     with pytest.raises(NoConvergenceError) as err:
         _normal_form_steps(_rank3_residual())
     assert (err.value.reason, err.value.iterations) == ("breakdown", 0)

@@ -208,13 +208,13 @@ def test_negativity_matches_trace_norm_and_oracle():
 def test_ppt_negativity_diagonalises_once(monkeypatch):
     import qloss.numerics
     calls = []
-    eigh = qloss.numerics.eigh
+    eigh = qloss.numerics._eigh
 
     def counting_eigh(*args, **kwargs):
         calls.append(1)
         return eigh(*args, **kwargs)
 
-    monkeypatch.setattr(qloss.numerics, "eigh", counting_eigh)
+    monkeypatch.setattr(qloss.numerics, "_eigh", counting_eigh)
     _, measure = ppt_negativity(_residual(w()))
     assert measure.value == pytest.approx((np.sqrt(5) - 1) / 6, abs=1e-12)
     assert len(calls) == 1
@@ -501,27 +501,35 @@ def _rho_file(mat, dims):
 @pytest.mark.parametrize("dims", [(5, 5), (6, 6), (12, 12)])
 def test_negativity_of_built_states_needs_no_hermitian_check_above_25(dims, monkeypatch):
     # a 2 x N x M ket's residual, with its Gamma blocks and as a partial
-    # trace, and a dense rho: file: above PT dimension 25 having been built by
-    # _unit_trace stands in for the check, at or below it eigh checks
+    # trace, and a dense rho: file: having been built by _unit_trace stands
+    # in for the check at every size; at or below PT dimension 25 the
+    # unchecked eigh kernel symmetrizes and solves, above it eigvalsh alone
     n, m = dims
     rng = np.random.default_rng(n * m + 7)
     state = StateVector.create(random_pure(rng, 2 * n * m), (2, n, m))
     built = [_gamma_residual(state), _residual(state),
              _rho_file(random_density_oracle(rng, n * m), dims)]
-    checked = []
-    check_hermitian = numerics.check_hermitian
+    checked, kernel = [], []
+    check_hermitian, eigh = numerics.check_hermitian, numerics._eigh
 
     def counting(mat, *args, **kwargs):
         checked.append(mat.shape)
         return check_hermitian(mat, *args, **kwargs)
 
+    def counting_kernel(mat):
+        kernel.append(mat.shape)
+        return eigh(mat)
+
     monkeypatch.setattr(numerics, "check_hermitian", counting)
+    monkeypatch.setattr(numerics, "_eigh", counting_kernel)
     for rho in built:
         checked.clear()
+        kernel.clear()
         _, measure = ppt_negativity(rho)
         assert measure.value == pytest.approx(negativity_oracle(rho.matrix, n, m), abs=1e-10)
         assert measure.value == _reference_negativity(rho.matrix, dims)
-        assert checked == ([] if n * m > 25 else [(1, n * m, n * m)])
+        assert checked == []
+        assert kernel == ([] if n * m > 25 else [(1, n * m, n * m)])
 
 
 @pytest.mark.parametrize("dims", [(6, 6), (4, 7)])
@@ -553,8 +561,9 @@ def test_built_state_with_a_signed_zero_needs_no_hermitian_check_above_25(dims, 
 
 @pytest.mark.parametrize("dims", [(5, 5), (6, 6)])
 def test_a_matrix_not_built_by_unit_trace_is_still_checked_and_symmetrized(dims):
-    # DensityMatrix(...) input keeps its bits: its partial transpose is checked
-    # and symmetrized before LAPACK, and a deviation above 1e-12 still raises
+    # DensityMatrix(...) input keeps its bits: it is checked where it enters,
+    # its partial transpose is symmetrized before LAPACK, and a deviation
+    # above 1e-12 still raises
     n, m = dims
     dim = n * m
     rng = np.random.default_rng(dim)

@@ -3,10 +3,11 @@
 import numpy as np
 import pytest
 
-from qloss import numerics
+from qloss import DensityMatrix, StateVector, numerics
 from qloss.errors import NotHermitianError, NotPSDError
+from qloss.states import _gamma_residual
 
-from oracles import random_hermitian, random_unitary_oracle
+from oracles import random_density_oracle, random_hermitian, random_pure, random_unitary_oracle
 
 SZ = np.diag([1.0, -1.0]).astype(complex)
 
@@ -17,6 +18,10 @@ for _r, _c in [(0, 4), (4, 0), (1, 1), (3, 3), (5, 5), (7, 7), (4, 8), (8, 4)]:
     EX4_PT[_r, _c] = 0.25
 EX4_PT_SPECTRUM = np.sort([-1 / (2 * np.sqrt(2)), 1 / (2 * np.sqrt(2)),
                            0.25, 0.25, 0.25, 0.25, 0.0, 0.0, 0.0])
+
+# equal to its conjugate transpose entry for entry, with a -0 that
+# (h + h^dag)/2 turns into +0
+SIGNED_ZERO = np.array([[1.0, complex(-0.0, 0.5)], [complex(-0.0, -0.5), 1.0]])
 
 
 def test_eigh_pauli_z_spectrum():
@@ -286,9 +291,7 @@ def test_check_hermitian_reports_its_deviation():
     h = random_hermitian(rng, 6)
     skewed = h.copy()
     skewed[4, 1] += 3e-13
-    # equal entry for entry, with a -0 that (h + h^dag)/2 turns into +0
-    signed = np.array([[1.0, complex(-0.0, 0.5)], [complex(-0.0, -0.5), 1.0]])
-    for passing in (h, skewed, signed):
+    for passing in (h, skewed, SIGNED_ZERO):
         assert numerics.check_hermitian(passing) is None
     skewed[4, 1] += 1e-9
     with pytest.raises(NotHermitianError, match="max deviation 1.000e-09"):
@@ -306,6 +309,66 @@ def test_a_deviation_of_1e9_still_raises(dim):
     rng = np.random.default_rng(dim)
     skewed = random_hermitian(rng, dim)
     skewed[dim - 1, 0] += 1e-9
-    for solve in (numerics.eigh, numerics.eigenvalues):
+    for solve in (numerics.eigh, numerics.eigenvalues, numerics.sqrt_psd, numerics.inv_sqrt_psd):
         with pytest.raises(NotHermitianError, match="max deviation 1.000e-09"):
             solve(skewed)
+
+
+def _kernel_inputs():
+    """Density matrices as the pipeline meets them, of dimension 2 to 36:
+    made by ``create`` and as a 2 x d x d ket's residual (rank 2), with
+    signed zeros from a real ket of mixed signs, and the 2 x 2 signed-zero
+    matrix."""
+    rng = np.random.default_rng(21)
+    yield "signed_zero", SIGNED_ZERO.astype(complex)
+    for d in range(2, 7):
+        yield f"created_{d}", DensityMatrix.create(random_density_oracle(rng, d), (d,)).matrix
+        ket = StateVector.create(random_pure(rng, 2 * d * d), (2, d, d))
+        yield f"residual_2x{d}x{d}", _gamma_residual(ket).matrix
+        v = rng.normal(size=d * d).astype(complex)
+        yield f"real_ket_{d}x{d}", DensityMatrix.create(np.outer(v, v.conj()), (d, d)).matrix
+
+
+def _same(got, want):
+    """Equal bit for bit, signs of zeros included."""
+    if isinstance(want, tuple):
+        return all(_same(g, w) for g, w in zip(got, want, strict=True))
+    return got.dtype == want.dtype and got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+def test_kernels_are_the_checked_functions_bit_for_bit(monkeypatch):
+    # each public function is check_hermitian plus its kernel, on a matrix, a
+    # stack of one and a stack of many; the kernels never check
+    checked = []
+    check_hermitian = numerics.check_hermitian
+
+    def counting(mat, *args, **kwargs):
+        checked.append(mat.shape)
+        return check_hermitian(mat, *args, **kwargs)
+
+    monkeypatch.setattr(numerics, "check_hermitian", counting)
+    pairs = [(numerics.eigh, numerics._eigh), (numerics.eigenvalues, numerics._eigenvalues),
+             (numerics.sqrt_psd, numerics._sqrt_psd)]
+    for name, h in _kernel_inputs():
+        for x in (h, h[None], np.stack([h, h.conj(), h.T.copy()])):
+            for public, kernel in pairs:
+                checked.clear()
+                got = kernel(x)
+                assert checked == [], (name, kernel.__name__)
+                assert _same(got, public(x)), (name, kernel.__name__, x.shape)
+                assert checked == [x.shape]
+        for power in (1.0, 1.7):
+            checked.clear()
+            got = numerics._inv_sqrt_psd(h, numerics.RANK_TOL, power)
+            assert checked == []
+            assert _same(got, numerics.inv_sqrt_psd(h, numerics.RANK_TOL, power)), (name, power)
+        if h.shape[-1] <= 25:
+            assert _same(numerics._built_eigenvalues(h[None]), numerics.eigenvalues(h[None])), name
+
+
+def test_kernels_keep_the_psd_check():
+    h = np.diag([1.0, -1e-6]).astype(complex)
+    for root in (numerics._sqrt_psd, numerics._inv_sqrt_psd, numerics.sqrt_psd,
+                 numerics.inv_sqrt_psd):
+        with pytest.raises(NotPSDError, match="negative eigenvalue -1.000e-06"):
+            root(h)

@@ -41,7 +41,7 @@ from qloss.errors import (
     RankDeficientError,
 )
 from qloss.robustness import FIG1_BLOCK
-from qloss.states import _gamma_residual, reduce_support
+from qloss.states import _check_unit_psd, _gamma_residual, reduce_support
 
 from oracles import negativity_oracle, random_pure, random_unitary_oracle
 
@@ -617,6 +617,27 @@ def test_observation1_sign_and_levels():
     psi[2] = 0.6
     psi[6] = -0.8
     np.testing.assert_allclose(rho.matrix, np.outer(psi, psi.conj()), atol=1e-12)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_observation1_family_is_the_state_create_makes(n):
+    # built unchecked, since its checked parameters make a PSD matrix: equal,
+    # bit for bit, to DensityMatrix.create of the same matrix, and valid
+    for p in (0.0, 1e-12, 0.5, 1.0):
+        for alpha, beta in ((1.0, 0.0), (0.6, 0.8)):
+            for sign in (1, -1):
+                rho = observation1_family(n, alpha, beta, p, sign=sign)
+                psi = np.zeros(n * n, dtype=complex)
+                psi[1] = alpha
+                psi[n] = sign * beta
+                mat = p * np.outer(psi, psi.conj()) + (1.0 - p) * np.eye(n * n) / (n * n)
+                want = DensityMatrix.create(mat, (n, n))
+                assert rho.dims == want.dims == (n, n)
+                assert np.array_equal(rho.matrix, want.matrix)
+                assert np.array_equal(np.signbit(rho.matrix.view(np.float64)),
+                                      np.signbit(want.matrix.view(np.float64)))
+                assert rho._built and not rho.matrix.flags.writeable
+                _check_unit_psd(rho.matrix)
 
 
 def test_observation1_invalid_params():

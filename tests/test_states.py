@@ -116,6 +116,19 @@ def test_density_matrix_create_normalizes_and_symmetrizes():
         DensityMatrix.create(np.diag([1.5, -0.5]), (2,))
 
 
+@pytest.mark.parametrize("dim", [4, 25, 36])
+def test_the_entry_points_refuse_a_deviation_of_1e9(dim):
+    # Hermiticity is checked where a matrix enters, on both sides of 25
+    rng = np.random.default_rng(dim)
+    skewed = random_density_oracle(rng, dim)
+    skewed[dim - 1, 0] += 1e-9
+    entries = (lambda m: DensityMatrix((dim,), m), lambda m: DensityMatrix.create(m, (dim,)),
+               normalize_density, lambda m: normalize_density(np.stack([m, m])))
+    for enter in entries:
+        with pytest.raises(NotHermitianError, match="max deviation 1.000e-09"):
+            enter(skewed)
+
+
 def test_density_matrix_create_checks_hermiticity_once(monkeypatch):
     calls = []
     check_hermitian = numerics.check_hermitian
@@ -551,18 +564,19 @@ def test_reduce_support_and_the_normal_form_diagonalise_the_marginals_once(dims,
     n, m = dims
     rho = _gamma_residual(StateVector.create(random_pure(rng, 2 * n * m), (2, n, m)))
     solves = []
-    eigh = numerics.eigh
+    eigh = numerics._eigh
 
     def counting(h, *args, **kwargs):
         solves.append(np.shape(h))
         return eigh(h, *args, **kwargs)
 
-    monkeypatch.setattr(numerics, "eigh", counting)
+    monkeypatch.setattr(numerics, "_eigh", counting)
     monkeypatch.setattr(np.linalg, "eigvalsh", forbidden)
     assert reduce_support(rho) is rho
     normal_form(rho)
-    # one stacked call on N x N, one per side on N x M
-    assert solves == ([(2, n, n)] if n == m else [(n, n), (m, m)])
+    # one stacked call on N x N, one per side on N x M, then the 2 x 2
+    # G^dag G of the Gram factor
+    assert solves == ([(2, n, n)] if n == m else [(n, n), (m, m)]) + [(2, 2)]
 
 
 def test_the_marginals_of_a_reduced_state_are_its_own():
