@@ -4,12 +4,12 @@ All functions operate on ``numpy.ndarray`` values (complex128, except that
 :func:`singular_values` keeps real input real) and are pure:
 inputs are never mutated, so everything here is thread-safe.
 
-Stack convention: :func:`check_hermitian`, :func:`eigh`, :func:`eigenvalues`
-and :func:`sqrt_psd` take a single ``(d, d)`` matrix or a stack of shape
-``(..., d, d)`` and apply to each matrix of the stack, with results stacked
-over the same leading axes. A stack of one runs exactly the arithmetic of the
-single-matrix call, so the results agree bit for bit. A check that fails on
-any member of a stack raises.
+Stack convention: :func:`check_hermitian`, :func:`eigh`, :func:`eigenvalues`,
+:func:`sqrt_psd` and :func:`inv_sqrt_psd` take a single ``(d, d)`` matrix or
+a stack of shape ``(..., d, d)`` and apply to each matrix of the stack, with
+results stacked over the same leading axes. A stack of one runs exactly the
+arithmetic of the single-matrix call, so the results agree bit for bit. A
+check that fails on any member of a stack raises.
 
 :func:`eigenvalues` is for callers that read only the spectrum. Up to
 dimension 25 it returns :func:`eigh`'s eigenvalues, bit for bit; above 25 it
@@ -208,17 +208,17 @@ def sqrt_psd(h: np.ndarray, rank_tol: float = RANK_TOL) -> np.ndarray:
 
 
 def _inv_sqrt_psd(h: np.ndarray, rank_tol: float = RANK_TOL, power: float = 1.0) -> np.ndarray:
-    """:func:`inv_sqrt_psd` of a complex matrix with no Hermiticity check."""
+    """:func:`inv_sqrt_psd` of a complex matrix, or stack, with no Hermiticity check."""
     w, v = _psd_spectrum(h)
     keep = support(w, rank_tol)
     inv = np.zeros_like(w)
     inv[keep] = (1.0 / np.sqrt(w[keep])) ** power
-    return (v * inv) @ v.conj().T
+    return (v * inv[..., None, :]) @ dagger(v)
 
 
 def inv_sqrt_psd(h: np.ndarray, rank_tol: float = RANK_TOL, power: float = 1.0) -> np.ndarray:
-    """Pseudo-inverse square root of a PSD matrix on its support, raised to
-    ``power``: ``h^(-power/2)``.
+    """Pseudo-inverse square root of a PSD matrix, or of each matrix of a
+    stack, on its support, raised to ``power``: ``h^(-power/2)``.
 
     Eigenvalues off the :func:`support` are treated as zero and projected
     out (their inverse contribution is 0). Raises

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import itertools
 import time
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -383,9 +384,25 @@ def sweep(
     return results
 
 
-def _ginibre(dim: int, rng: np.random.Generator) -> np.ndarray:
-    """Complex Gaussian matrix; the real parts are drawn before the imaginary parts."""
-    return rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+def _draw(rngs: Iterable[np.random.Generator]) -> tuple[np.ndarray, np.ndarray]:
+    """One two-qubit sample per generator in ``rngs``: the stack of 4x4
+    complex Gaussian matrices and the stack of spectra, uniform on the simplex.
+
+    Each generator draws one Gaussian block, whose first half is the real
+    parts and second half the imaginary parts, then four standard
+    exponentials. The spectrum is the exponentials over their sum, which is
+    ``Generator.dirichlet(ones(4))`` bit for bit: numpy draws that as the
+    same exponentials, sums them left to right and multiplies each by the
+    reciprocal of the sum.
+    """
+    gauss, expo = [], []
+    for rng in rngs:
+        # normal, not standard_normal: its 0.0 + 1.0 * x turns a drawn -0.0 into +0.0
+        gauss.append(rng.normal(size=(2, 4, 4)))
+        expo.append(rng.standard_exponential(4))
+    gauss, e = np.array(gauss), np.array(expo)
+    total = ((e[:, 0] + e[:, 1]) + e[:, 2]) + e[:, 3]
+    return gauss[:, 0] + 1j * gauss[:, 1], e * (1.0 / total)[:, None]
 
 
 def _mixed(z: np.ndarray, spectra: np.ndarray) -> np.ndarray:
@@ -395,16 +412,13 @@ def _mixed(z: np.ndarray, spectra: np.ndarray) -> np.ndarray:
     return (u * spectra[..., None, :]) @ numerics.dagger(u)
 
 
-def _random_mixed(dim: int, rng: np.random.Generator) -> np.ndarray:
-    """One unnormalised mixed state; draws as :func:`fig1_scatter` does per sample."""
-    z = _ginibre(dim, rng)
-    return _mixed(z, rng.dirichlet(np.ones(dim)))
-
-
 def random_two_qubit_mixed(rng: np.random.Generator) -> DensityMatrix:
     """Random two-qubit mixed state: Haar eigenbasis, eigenvalues uniform on
-    the simplex."""
-    return DensityMatrix.create(_random_mixed(4, rng), (2, 2))
+    the simplex, drawn from ``rng`` as :func:`fig1_scatter` draws each sample:
+    one Gaussian block, then four exponentials whose normalised values are
+    the eigenvalues."""
+    z, spectra = _draw([rng])
+    return DensityMatrix.create(_mixed(z[0], spectra[0]), (2, 2))
 
 
 #: Samples that fig1_scatter evaluates as one stack; bounds its working memory.
@@ -417,22 +431,19 @@ def fig1_scatter(samples: int, seed: int = 0) -> list[tuple[float, float]]:
     Every point satisfies negativity <= concurrence. Sample i is drawn from
     its own generator seeded with the sub-seed (seed, i), so sample i is the
     same in every scatter of at least i + 1 samples with this seed, and it
-    equals :func:`random_two_qubit_mixed` on that generator. The states are
-    then built, validated and measured in stacks of up to ``FIG1_BLOCK``
-    samples, with the same arithmetic as the one-state functions.
+    equals :func:`random_two_qubit_mixed` on that generator. Each sample takes
+    one Gaussian block and four exponentials from its generator; its
+    eigenvalues are the normalised exponentials, equal bit for bit to
+    ``Generator.dirichlet(ones(4))``. The states are then built, validated
+    and measured in stacks of up to ``FIG1_BLOCK`` samples, with the same
+    arithmetic as the one-state functions.
     """
     if samples < 1:
         raise InvalidParamsError(f"samples must be >= 1, got {samples}")
-    alpha = np.ones(4)
     pairs: list[tuple[float, float]] = []
     for start in range(0, samples, FIG1_BLOCK):
-        count = min(FIG1_BLOCK, samples - start)
-        z = np.empty((count, 4, 4), dtype=complex)
-        spectra = np.empty((count, 4))
-        for j in range(count):
-            rng = np.random.default_rng(point_seed(seed, start + j))
-            z[j] = _ginibre(4, rng)
-            spectra[j] = rng.dirichlet(alpha)
+        stop = min(start + FIG1_BLOCK, samples)
+        z, spectra = _draw(np.random.default_rng(point_seed(seed, i)) for i in range(start, stop))
         # checked Hermitian here, and PSD by the square root in stacked_wootters
         rho = normalize_density(_mixed(z, spectra))
         pairs.extend(zip(stacked_wootters(rho).tolist(), stacked_negativity(rho, (2, 2)).tolist()))

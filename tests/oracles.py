@@ -191,6 +191,14 @@ def random_density_oracle(rng, dim, min_eig=0.0):
     return rho
 
 
+def fig1_sample_oracle(rng):
+    """One fig1 sample's Gaussian matrix and spectrum, drawn with numpy's own
+    samplers: the real parts, then the imaginary parts, each in its own
+    ``normal`` call, then ``Generator.dirichlet(ones(4))``."""
+    z = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+    return z, rng.dirichlet(np.ones(4))
+
+
 def random_pure(rng, dim):
     z = rng.normal(size=dim) + 1j * rng.normal(size=dim)
     return z / np.linalg.norm(z)

@@ -172,6 +172,30 @@ def test_inv_sqrt_psd_rejects_negative():
         numerics.inv_sqrt_psd(np.diag([1.0, -1e-6]))
 
 
+@pytest.mark.parametrize("count", [3, 2])
+def test_inv_sqrt_psd_of_a_stack_is_the_per_matrix_roots(count):
+    # (3, 3, 3) has as many members as rows, so an axis mix-up there fails by value, not shape
+    rng = np.random.default_rng(count)
+    stack = np.stack([random_density_oracle(rng, 3) for _ in range(count)])
+    for power in (1.0, 1.7):
+        got = numerics.inv_sqrt_psd(stack, power=power)
+        assert got.shape == (count, 3, 3)
+        for member, want in zip(got, stack):
+            assert np.array_equal(member, numerics.inv_sqrt_psd(want, power=power))
+
+
+def test_inv_sqrt_psd_of_one_matrix_keeps_its_bits():
+    # the one-matrix result of the expression the stack rule replaced
+    rng = np.random.default_rng(8)
+    for d in (2, 3, 6):
+        h = random_density_oracle(rng, d)
+        w, v = numerics.eigh(h)
+        keep = numerics.support(w)
+        inv = np.zeros_like(w)
+        inv[keep] = (1.0 / np.sqrt(w[keep])) ** 1.7
+        assert _same(numerics.inv_sqrt_psd(h, power=1.7), (v * inv) @ v.conj().T), d
+
+
 def test_sqrt_psd_squares_back():
     rng = np.random.default_rng(5)
     u = random_unitary_oracle(rng, 4)
@@ -348,7 +372,7 @@ def test_kernels_are_the_checked_functions_bit_for_bit(monkeypatch):
 
     monkeypatch.setattr(numerics, "check_hermitian", counting)
     pairs = [(numerics.eigh, numerics._eigh), (numerics.eigenvalues, numerics._eigenvalues),
-             (numerics.sqrt_psd, numerics._sqrt_psd)]
+             (numerics.sqrt_psd, numerics._sqrt_psd), (numerics.inv_sqrt_psd, numerics._inv_sqrt_psd)]
     for name, h in _kernel_inputs():
         for x in (h, h[None], np.stack([h, h.conj(), h.T.copy()])):
             for public, kernel in pairs:
