@@ -21,6 +21,7 @@ separability in general dimensions.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import time
 from collections.abc import Iterable
@@ -310,7 +311,13 @@ class SweepPoint:
 
 
 def point_seed(seed: int, index: int) -> np.random.SeedSequence:
-    """Deterministic per-point sub-seed; independent of evaluation order."""
+    """Deterministic per-point sub-seed; independent of evaluation order.
+
+    :func:`fig1_scatter` does not build these: it computes each block's
+    generator states at once, and they equal this sub-seed's
+    ``generate_state(4, np.uint64)``, that is
+    ``SeedSequence([seed & (2**63 - 1), index & (2**63 - 1)])``'s, bit for bit.
+    """
     # SeedSequence wants non-negative entropy, so negative seeds are masked
     return np.random.SeedSequence([int(seed) & (2**63 - 1), int(index) & (2**63 - 1)])
 
@@ -425,13 +432,93 @@ def random_two_qubit_mixed(rng: np.random.Generator) -> DensityMatrix:
 FIG1_BLOCK = 1024
 
 
+def _multipliers(init: int, mult: int, count: int) -> np.ndarray:
+    """init * mult**k mod 2**32 for k = 0 .. count, as a uint32 column."""
+    out = [init]
+    for _ in range(count):
+        out.append(out[-1] * mult & 0xFFFFFFFF)
+    return np.array(out, np.uint32)[:, None]
+
+
+# numpy's SeedSequence with its pool of 4 words. Its hash constants do not
+# depend on the data: hashmix's run takes 4 calls to fill the pool and 12 to
+# mix it, and generate_state hashes 8 words with a run of its own.
+_HASHMIX = _multipliers(0x43B0D7E5, 0x931E8875, 16)
+_GENERATE = _multipliers(0x8B51F9DD, 0x58F38DED, 8)
+_MIX_L, _MIX_R = np.array([0xCA01F9DD, 0x4973F715], np.uint32)
+# [src, dst]: the hashmix call that mixes word src into word dst, calls
+# 4 + 3 src .. 6 + 3 src in order of dst; the unused diagonal is 0
+_MIX_CALL = np.array([[0 if dst == src else 4 + 3 * src + dst - (dst > src)
+                       for dst in range(4)] for src in range(4)])
+_MIX_XOR, _MIX_MULT = _HASHMIX[_MIX_CALL], _HASHMIX[_MIX_CALL + 1]
+
+
+def _hash(words: np.ndarray, xor: np.ndarray, mult: np.ndarray) -> np.ndarray:
+    """SeedSequence's hash of uint32 words: XOR with one constant, times the
+    next, then fold the high half into the low half."""
+    words = (words ^ xor) * mult
+    return words ^ (words >> 16)
+
+
+def _block_seeds(seed: int, start: int, stop: int) -> np.ndarray:
+    """The (stop - start, 4) uint64 array whose row j is
+    ``point_seed(seed, start + j).generate_state(4, np.uint64)``, computed
+    by numpy's SeedSequence algorithm for the whole block at once.
+
+    The pool is one row per word and one column per sample. Every integer
+    operation is on uint32 arrays, which wrap silently, where numpy scalars
+    would warn on overflow.
+    """
+    mask = 2**63 - 1
+    seed = int(seed) & mask
+    index = np.arange(start, stop, dtype=np.uint64) & np.uint64(mask)
+    # the entropy words, low first: the seed's one or two, then the index's
+    # one or two, zero-padded to the pool (so a missing high word is a 0)
+    seed_words = [seed & 0xFFFFFFFF] + ([seed >> 32] if seed >> 32 else [])
+    pool = np.zeros((4, index.size), np.uint32)
+    pool[:len(seed_words)] = np.array(seed_words, np.uint32)[:, None]
+    pool[len(seed_words)] = index & np.uint64(0xFFFFFFFF)
+    pool[len(seed_words) + 1] = index >> np.uint64(32)
+    pool = _hash(pool, _HASHMIX[:4], _HASHMIX[1:5])
+    # mix each word into the other three; the source row is left as it was
+    for src in range(4):
+        mixed = _MIX_L * pool - _MIX_R * _hash(pool[src], _MIX_XOR[src], _MIX_MULT[src])
+        mixed ^= mixed >> 16
+        mixed[src] = pool[src]
+        pool = mixed
+    state = _hash(np.concatenate([pool, pool]), _GENERATE[:8], _GENERATE[1:]).astype(np.uint64)
+    # C order: PCG64 reads a row's memory as four words, whatever its strides
+    return np.ascontiguousarray((state[0::2] | state[1::2] << np.uint64(32)).T)
+
+
+@functools.cache
+def _state_seed() -> type:
+    """An ``ISeedSequence`` that hands PCG64 a state from :func:`_block_seeds`.
+    Made on first use, so that importing qloss does not import numpy.random."""
+    from numpy.random.bit_generator import ISeedSequence
+
+    class StateSeed(ISeedSequence):
+        def __init__(self, words: np.ndarray):
+            self.words = words
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            if n_words != 4 or np.dtype(dtype) != np.uint64:
+                raise ValueError("holds only the four uint64 words PCG64 asks for")
+            return self.words
+
+    return StateSeed
+
+
 def fig1_scatter(samples: int, seed: int = 0) -> list[tuple[float, float]]:
     """(concurrence, negativity) pairs for seeded random two-qubit mixed states.
 
     Every point satisfies negativity <= concurrence. Sample i is drawn from
     its own generator seeded with the sub-seed (seed, i), so sample i is the
     same in every scatter of at least i + 1 samples with this seed, and it
-    equals :func:`random_two_qubit_mixed` on that generator. Each sample takes
+    equals :func:`random_two_qubit_mixed` on that generator. Each block's
+    generator states are computed at once, and equal bit for bit those of
+    ``SeedSequence([seed & (2**63 - 1), i & (2**63 - 1)])``, which is
+    :func:`point_seed`. Each sample takes
     one Gaussian block and four exponentials from its generator; its
     eigenvalues are the normalised exponentials, equal bit for bit to
     ``Generator.dirichlet(ones(4))``. The states are then built, validated
@@ -440,10 +527,12 @@ def fig1_scatter(samples: int, seed: int = 0) -> list[tuple[float, float]]:
     """
     if samples < 1:
         raise InvalidParamsError(f"samples must be >= 1, got {samples}")
+    state_seed = _state_seed()
     pairs: list[tuple[float, float]] = []
     for start in range(0, samples, FIG1_BLOCK):
         stop = min(start + FIG1_BLOCK, samples)
-        z, spectra = _draw(np.random.default_rng(point_seed(seed, i)) for i in range(start, stop))
+        z, spectra = _draw(np.random.Generator(np.random.PCG64(state_seed(row)))
+                           for row in _block_seeds(seed, start, stop))
         # checked Hermitian here, and PSD by the square root in stacked_wootters
         rho = normalize_density(_mixed(z, spectra))
         pairs.extend(zip(stacked_wootters(rho).tolist(), stacked_negativity(rho, (2, 2)).tolist()))

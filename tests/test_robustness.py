@@ -1,8 +1,13 @@
 """End-to-end classification, state families, sweeps, and the scatter."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qloss import (
@@ -40,7 +45,7 @@ from qloss.errors import (
     NotPSDError,
     RankDeficientError,
 )
-from qloss.robustness import FIG1_BLOCK, _draw, _mixed
+from qloss.robustness import FIG1_BLOCK, _block_seeds, _draw, _mixed, _state_seed
 from qloss.states import _check_unit_psd, _gamma_residual, reduce_support
 
 from oracles import fig1_sample_oracle, negativity_oracle, random_pure, random_unitary_oracle
@@ -809,6 +814,35 @@ def test_fig1_block_takes_three_eigensolves(monkeypatch):
     assert sizes == [4, 4, 4]
 
 
+def test_fig1_scatter_builds_no_seed_sequence(monkeypatch):
+    built = []
+    seed_sequence = np.random.SeedSequence
+
+    def counting(*args, **kwargs):
+        built.append(args)
+        return seed_sequence(*args, **kwargs)
+
+    monkeypatch.setattr(np.random, "SeedSequence", counting)
+    fig1_scatter(50)
+    assert built == []
+    point_seed(0, 0)                    # the counter does see a sub-seed
+    assert len(built) == 1
+
+
+def test_importing_qloss_does_not_import_numpy_random():
+    import qloss
+
+    # a numpy release that imports numpy.random with itself leaves nothing to check
+    code = ("import sys, numpy; loaded = lambda: 'numpy.random' in sys.modules; "
+            "by_numpy = loaded(); import qloss; by_qloss = loaded(); "
+            "qloss.fig1_scatter(1); print(by_numpy, by_qloss, loaded())")
+    env = {**os.environ, "PYTHONPATH": str(Path(qloss.__file__).parents[1])}
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, check=True)
+    by_numpy, by_qloss, by_fig1 = done.stdout.split()
+    assert by_qloss == by_numpy and by_fig1 == "True"
+
+
 def test_fig1_block_with_a_non_psd_member_raises(monkeypatch):
     import qloss.robustness
 
@@ -837,6 +871,28 @@ def test_fig1_closed_form_corners():
     separable = DensityMatrix.create(np.eye(4), (2, 2))
     assert wootters_concurrence(separable) == 0.0
     assert ppt_negativity(separable)[1].value == 0.0
+
+
+@settings(max_examples=60, deadline=None, database=None, derandomize=True)
+@given(seed=st.integers(-2**64, 2**64),
+       start=st.one_of(st.just(2**32 - 5), st.integers(0, 2**40)),
+       size=st.integers(1, 12))
+# seed 0, one all-zero word, as the index grows to two words; -1, masked to
+# two words; the largest one-word seed; 2**64, masked to 0
+@example(seed=0, start=2**32 - 5, size=10)
+@example(seed=-1, start=0, size=3)
+@example(seed=2**32 - 1, start=2**32 - 5, size=10)
+@example(seed=2**64, start=2**32, size=2)
+def test_block_seeds_are_numpys_seed_sequence(seed, start, size):
+    rows = _block_seeds(seed, start, start + size)
+    assert rows.dtype == np.uint64 and rows.shape == (size, 4)
+    for index, row in zip(range(start, start + size), rows):
+        sub_seed = point_seed(seed, index)
+        assert row.tolist() == sub_seed.generate_state(4, np.uint64).tolist(), index
+        got = np.random.Generator(np.random.PCG64(_state_seed()(row)))
+        want = np.random.default_rng(sub_seed)
+        assert got.normal(size=(2, 4, 4)).tobytes() == want.normal(size=(2, 4, 4)).tobytes()
+        assert got.standard_exponential(4).tobytes() == want.standard_exponential(4).tobytes()
 
 
 def test_point_seed_is_stable():
