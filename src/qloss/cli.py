@@ -17,7 +17,6 @@ summary goes to stderr unless --quiet.
 from __future__ import annotations
 
 import argparse
-import functools
 import json
 import sys
 import time
@@ -330,9 +329,7 @@ def _cmd_generators(args) -> int:
     return 0
 
 
-@functools.cache
 def build_parser() -> _Parser:
-    """The qloss parser, built once per process: parsing leaves it unchanged."""
     parser = _Parser(prog="qloss",
                      description="Robustness of 2xNxM pure states against qubit loss.")
     parser.add_argument("--version", action="version", version=f"qloss {__version__}")

@@ -489,21 +489,3 @@ def test_readme_examples_run(tmp_path, monkeypatch, capsys):
         ran += 1
     assert ran == 6
     exec(_readme_block("## Library sketch", "python"), {})
-
-
-def test_main_reuses_one_parser(capsys):
-    # each call must answer as a freshly built parser does
-    calls = [["sweep", "observation1", "--p", "0:1:0.5"],
-             ["sweep", "observation1", "--p", "nan"],
-             ["--version"],
-             ["fig1", "--samples", "3", "--seed", "2"],
-             ["sweep", "observation1", "--p", "0:1:0.5", "--n", "3"]]
-    cached = [run_cli(argv, capsys) for argv in calls]
-    assert cli.build_parser() is cli.build_parser()
-    fresh = []
-    for argv in calls:
-        cli.build_parser.cache_clear()
-        fresh.append(run_cli(argv, capsys))
-    assert cached == fresh
-    assert [code for code, _, _ in cached] == [0, 64, 0, 0, 0]
-    assert cached[2][1] == f"qloss {cli.__version__}\n"
